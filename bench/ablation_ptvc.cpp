@@ -17,6 +17,7 @@
 #include "baseline/Reference.h"
 #include "instrument/Instrumenter.h"
 #include "ptx/Parser.h"
+#include "sim/Lower.h"
 #include "suite/Suite.h"
 #include "support/Format.h"
 #include "support/TableWriter.h"
@@ -95,8 +96,10 @@ Census runProgram(const suite::SuiteProgram &Program) {
     Config.Block = Program.Block;
     sim::CollectingLogger Logger;
     size_t KI = static_cast<size_t>(K - Mod->Kernels.data());
+    std::unique_ptr<sim::LoweredKernel> Low =
+        sim::lowerKernel(*Mod, *K, &Instr.Kernels[KI]);
     Machine.launch(*Mod, *K, &Instr.Kernels[KI], Config, Builder.bytes(),
-                   &Logger);
+                   &Logger, Low.get());
     baseline::ReferenceDetector Reference{sim::ThreadHierarchy(Config)};
     Reference.processAll(Logger.Records);
     Result.ReferencePeakBytes = Reference.peakVectorClockBytes();

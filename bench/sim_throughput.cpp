@@ -1,9 +1,9 @@
 //===- sim_throughput.cpp - simulator hot-loop throughput -----------------===//
 //
-// Measures the SIMT interpreter's dynamic warp-instructions/second with
-// the pre-lowered micro-op path on and off (same machine, same kernels
-// — only Machine::launch's LoweredKernel argument differs). Four kernel
-// classes isolate the hot-loop shapes that matter:
+// Measures the simulator's dynamic warp-instructions/second on the
+// pre-lowered micro-op dispatch loop. Each kernel is lowered once, outside
+// the timed loop. Four kernel classes isolate the hot-loop shapes that
+// matter:
 //
 //   compute-heavy : a tight ALU loop (mad/xor/shl/and + setp/bra) — the
 //                   micro-op decode win plus setp+bra fusion.
@@ -14,12 +14,16 @@
 //   sync-heavy    : a loop crossing bar.sync twice per iteration with
 //                   shared-memory traffic — barrier scheduling.
 //
+// Every launch must retire exactly the dynamic instruction count the
+// per-instruction interpreter retired for the same kernel and launch
+// shape — fusion changes scheduling slots, not the count.
+//
 // A module-load microbench rides along: it times the arena/interned PTX
 // front end via the RunReport's parseNanos counter and (in smoke mode)
 // enforces a floor on parse throughput.
 //
 // Environment:
-//   BARRACUDA_SIM_REPEATS   timed launches per mode (default 30)
+//   BARRACUDA_SIM_REPEATS   timed launches per scenario (default 30)
 //   BARRACUDA_BENCH_SMOKE=1 few launches, invariant checks only
 //
 //===----------------------------------------------------------------------===//
@@ -198,12 +202,13 @@ struct Scenario {
   sim::Dim3 Block;
   /// Fusion shapes the scenario must exercise under lowering.
   bool ExpectFusedBranches = false;
+  /// Warp instructions one launch retires (the interpreter's count).
+  uint64_t WarpInstructionsPerLaunch = 0;
 };
 
 struct Timing {
   double Seconds = 0;
   uint64_t WarpInstructions = 0;
-  bool UsedLowered = false;
   uint32_t FusedPairs = 0;
   uint32_t FusedBranches = 0;
 };
@@ -215,7 +220,7 @@ void fail(const char *Scenario, const char *What) {
 
 /// Runs \p S natively (no instrumentation, no logger — the pure
 /// simulator hot loop) for \p Repeats timed launches after one warmup.
-Timing runScenario(const Scenario &S, bool Lowered, unsigned Repeats) {
+Timing runScenario(const Scenario &S, unsigned Repeats) {
   ptx::Parser Parser(S.Ptx);
   std::unique_ptr<ptx::Module> Mod = Parser.parseModule();
   if (!Mod)
@@ -234,21 +239,19 @@ Timing runScenario(const Scenario &S, bool Lowered, unsigned Repeats) {
   Config.Block = S.Block;
 
   Timing Out;
-  std::unique_ptr<sim::LoweredKernel> Low;
-  if (Lowered) {
-    Low = sim::lowerKernel(*Mod, *K, nullptr);
-    if (!Low)
-      fail(S.Name, "kernel did not lower");
-    Out.UsedLowered = true;
-    Out.FusedPairs = Low->FusedPairs;
-    Out.FusedBranches = Low->FusedBranches;
-  }
+  std::unique_ptr<sim::LoweredKernel> Low =
+      sim::lowerKernel(*Mod, *K, nullptr);
+  Out.FusedPairs = Low->FusedPairs;
+  Out.FusedBranches = Low->FusedBranches;
 
   auto launchOnce = [&] {
     sim::LaunchResult Result = Machine.launch(
         *Mod, *K, nullptr, Config, Builder.bytes(), nullptr, Low.get());
     if (!Result.Ok)
       fail(S.Name, Result.Error.c_str());
+    if (Result.WarpInstructions != S.WarpInstructionsPerLaunch)
+      fail(S.Name, "retired instruction count differs from the "
+                   "interpreter's");
     return Result.WarpInstructions;
   };
   launchOnce(); // warm the allocator, page tables and branch caches
@@ -272,47 +275,38 @@ int main() {
   if (const char *Env = std::getenv("BARRACUDA_SIM_REPEATS"))
     Repeats = static_cast<unsigned>(std::strtoul(Env, nullptr, 10));
 
-  std::printf("Simulator hot-loop throughput: %u launches/mode, native "
+  std::printf("Simulator hot-loop throughput: %u launches/scenario, native "
               "(no instrumentation)%s\n\n",
               Repeats, Smoke ? " [smoke]" : "");
 
   Scenario Scenarios[] = {
       {"compute-heavy", ComputeHeavy, "compute_heavy", sim::Dim3(4),
-       sim::Dim3(128), /*ExpectFusedBranches=*/true},
+       sim::Dim3(128), /*ExpectFusedBranches=*/true, 37056},
       {"memory-heavy", MemoryHeavy, "memory_heavy", sim::Dim3(4),
-       sim::Dim3(128), /*ExpectFusedBranches=*/true},
+       sim::Dim3(128), /*ExpectFusedBranches=*/true, 45168},
       {"divergent", Divergent, "divergent", sim::Dim3(4), sim::Dim3(128),
-       /*ExpectFusedBranches=*/false},
+       /*ExpectFusedBranches=*/false, 49344},
       {"sync-heavy", SyncHeavy, "sync_heavy", sim::Dim3(4),
-       sim::Dim3(128), /*ExpectFusedBranches=*/false},
+       sim::Dim3(128), /*ExpectFusedBranches=*/false, 24704},
   };
 
-  std::printf("%-14s %16s %16s %9s   lowering\n", "scenario",
-              "legacy insn/s", "lowered insn/s", "speedup");
+  std::printf("%-14s %16s %12s   lowering\n", "scenario", "insn/s",
+              "insn/launch");
   for (const Scenario &S : Scenarios) {
-    Timing Legacy = runScenario(S, /*Lowered=*/false, Repeats);
-    Timing Lowered = runScenario(S, /*Lowered=*/true, Repeats);
-
-    // The two paths must retire exactly the same dynamic instruction
-    // stream — fusion changes scheduling slots, not the count.
-    if (Legacy.WarpInstructions != Lowered.WarpInstructions)
-      fail(S.Name, "dynamic instruction counts diverge");
-    if (!Lowered.UsedLowered)
-      fail(S.Name, "micro-op path did not engage");
+    Timing Lowered = runScenario(S, Repeats);
     if (S.ExpectFusedBranches && Lowered.FusedBranches == 0)
       fail(S.Name, "expected setp+bra fusion");
     if (Lowered.FusedPairs == 0 && Lowered.FusedBranches == 0)
       fail(S.Name, "no fusion at all");
 
-    double LegacyRate = Legacy.WarpInstructions / Legacy.Seconds;
-    double LoweredRate = Lowered.WarpInstructions / Lowered.Seconds;
-    std::printf("%-14s %16.0f %16.0f %8.2fx   %u pairs, %u setp+bra\n",
-                S.Name, LegacyRate, LoweredRate, LoweredRate / LegacyRate,
+    std::printf("%-14s %16.0f %12llu   %u pairs, %u setp+bra\n", S.Name,
+                Lowered.WarpInstructions / Lowered.Seconds,
+                static_cast<unsigned long long>(S.WarpInstructionsPerLaunch),
                 Lowered.FusedPairs, Lowered.FusedBranches);
   }
 
-  std::printf("\nlegacy = per-instruction interpreter (--legacy-sim); "
-              "both paths retire identical instruction streams.\n");
+  std::printf("\nevery launch retired the interpreter's instruction "
+              "count.\n");
 
   // Module-load microbench: the arena/interned front end, measured by
   // the session's parseNanos counter (the same number RunReport

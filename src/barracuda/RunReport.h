@@ -8,9 +8,7 @@
 /// One versioned report for everything a run produces: launch outcome,
 /// record tallies, detector statistics, engine backpressure, static
 /// instrumentation coverage, the findings themselves, and a raw metric
-/// snapshot. This subsumes the three pre-observability surfaces —
-/// KernelRunStats, the --stats printf block and the bare races/
-/// barrierErrors JSON document — behind a single schema:
+/// snapshot, behind a single schema:
 ///
 ///   RunReport R = Session.report();
 ///   R.printText(stdout);              // the old --stats block
@@ -65,9 +63,9 @@ struct RunReport {
     uint64_t WarpInstructions = 0;
     uint64_t RecordsLogged = 0;
     uint64_t RecordsPruned = 0;
-    /// True when the launch ran on the pre-lowered micro-op dispatch
-    /// loop rather than the legacy per-instruction interpreter.
-    bool SimLowered = false;
+    /// Always true: every launch runs the pre-lowered micro-op dispatch
+    /// loop. Kept so the "simLowered" JSON key stays in the schema.
+    bool SimLowered = true;
   } Launch;
 
   /// Record-class tallies for the launch (from the counting sink and the

@@ -165,8 +165,6 @@ runtime::Engine &Session::engine() {
 const sim::LoweredKernel *
 Session::loweredFor(const ptx::Kernel &K,
                     const instrument::KernelInstrumentation *KI) {
-  if (!Options.SimLowered)
-    return nullptr;
   std::lock_guard<std::mutex> Lock(LowerMutex);
   auto It = Lowered.find(&K);
   if (It == Lowered.end())
@@ -294,7 +292,6 @@ Session::runLaunch(const std::string &KernelName, sim::Dim3 Grid,
     std::lock_guard<std::mutex> Lock(ResultsMutex);
     RunReport Native;
     Native.Launch.Kernel = KernelName;
-    Native.Launch.SimLowered = Low != nullptr;
     Native.ParseNanos = ParseNanos;
     Native.Launch.Ok = Result.Ok;
     Native.Launch.Error = Result.Error;
@@ -442,7 +439,6 @@ Session::runLaunch(const std::string &KernelName, sim::Dim3 Grid,
   RunReport Report;
   Report.Launch.Kernel = KernelName;
   Report.Launch.Instrumented = true;
-  Report.Launch.SimLowered = Low != nullptr;
   Report.ParseNanos = ParseNanos;
   Report.Launch.Ok = Result.Ok;
   Report.Launch.Error = Result.Error;

@@ -91,11 +91,6 @@ struct DetectOptions {
   /// mutex; verdicts are identical at any count. Requires
   /// DetectorHotPath; ignored (single-table) when the hot path is off.
   unsigned ShadowShards = 0;
-  /// Pre-lower each kernel to micro-ops at first launch and run the
-  /// block dispatch loop (sim/Lower.h). Off (--legacy-sim) = the
-  /// per-instruction decode/switch interpreter; traces, races and
-  /// launch results are identical either way.
-  bool SimLowered = true;
   /// Simulated warp width (32 = real hardware). Smaller values expose
   /// latent warp-synchronous bugs, per the paper's Section 3.1 note.
   uint32_t WarpSize = trace::WarpSize;
@@ -327,7 +322,7 @@ private:
             obs::RequestContext Request = {});
 
   /// The kernel pre-lowered to micro-ops, lowering it on first use
-  /// (null when SimLowered is off or the kernel is un-lowerable). \p KI
+  /// (never null: every verified kernel lowers). \p KI
   /// must be the kernel's instrumentation, or null for native sessions —
   /// the cached lowering is mode-specific, and the session's mode is
   /// fixed, so one cache entry per kernel suffices.

@@ -580,6 +580,8 @@ void Engine::workerMain(unsigned QueueIndex) {
         // exception quarantines this launch's slice of the queue and
         // the worker keeps serving (other launches get a fresh
         // processor — the failure does not outlive its lease).
+        bool Threw = false;
+        std::string What;
         try {
           if (Faults && Faults->fire(fault::FaultKind::WorkerThrow,
                                      DrainedHere, QueueIndex))
@@ -587,9 +589,16 @@ void Engine::workerMain(unsigned QueueIndex) {
                 "injected detector worker exception");
           Cached->Processors[QueueIndex]->process(Record);
         } catch (const std::exception &E) {
+          Threw = true;
+          What = E.what();
+        } catch (...) {
+          Threw = true;
+          What = "unknown exception";
+        }
+        if (Threw) {
           Cached->quarantine(
               QueueIndex,
-              support::Status(support::ErrorCode::WorkerFailed, E.what())
+              support::Status(support::ErrorCode::WorkerFailed, What)
                   .withContext(support::formatString(
                       "detector worker %u", QueueIndex)));
           CWorkerFailures->add(1);
@@ -601,28 +610,7 @@ void Engine::workerMain(unsigned QueueIndex) {
               .kv("queue", QueueIndex)
               .kv("epoch", Record.Epoch)
               .kv("requestId", Cached->Request.RequestId)
-              .kv("error", E.what());
-          if (Tracer)
-            Tracer->instant(Track, "worker failure: queue quarantined",
-                            "resilience", Cached->Request.RequestId);
-          Drop = true;
-        } catch (...) {
-          Cached->quarantine(
-              QueueIndex,
-              support::Status(support::ErrorCode::WorkerFailed,
-                              support::formatString(
-                                  "detector worker %u: unknown exception",
-                                  QueueIndex)));
-          CWorkerFailures->add(1);
-          woundQueue(QueueIndex);
-          Flight.record(QueueIndex, obs::FlightCode::WorkerFailure,
-                        static_cast<uint16_t>(QueueIndex), Record.Epoch,
-                        Cached->Request.RequestId);
-          ELog.error("worker-failure")
-              .kv("queue", QueueIndex)
-              .kv("epoch", Record.Epoch)
-              .kv("requestId", Cached->Request.RequestId)
-              .kv("error", "unknown exception");
+              .kv("error", What);
           if (Tracer)
             Tracer->instant(Track, "worker failure: queue quarantined",
                             "resilience", Cached->Request.RequestId);

@@ -7,6 +7,7 @@
 #include "ptx/Ir.h"
 #include "trace/Record.h"
 
+#include <cassert>
 #include <cstring>
 
 using namespace barracuda;
@@ -18,7 +19,7 @@ using barracuda::trace::RecordOp;
 
 namespace {
 
-/// Mirror of the interpreter's float-immediate conversion: immediates are
+/// Mirror of the generic rows' float-immediate conversion: immediates are
 /// folded at lowering time with exactly the bits readOperand would produce.
 uint64_t foldFloatBits(double Value, Type Ty) {
   if (Ty == Type::F32) {
@@ -52,7 +53,7 @@ bool regDst(const Operand &Op) {
   return Op.isReg() && !Op.isVector() && Op.Reg >= 0;
 }
 
-/// Folds \p Op into \p S. \p FoldTy is the type the interpreter would pass
+/// Folds \p Op into \p S. \p FoldTy is the type the generic rows would pass
 /// to readOperand at this operand position (the instruction type, or the
 /// resolved source type for cvt).
 void foldOperand(UopSrc &S, const Operand &Op, const Module &M,
@@ -60,7 +61,7 @@ void foldOperand(UopSrc &S, const Operand &Op, const Module &M,
   switch (Op.Kind) {
   case Operand::OperandKind::Reg:
     S.Kind = static_cast<uint8_t>(UopSrcKind::Reg);
-    S.Reg = static_cast<uint16_t>(Op.Reg);
+    S.Reg = static_cast<uint32_t>(Op.Reg);
     return;
   case Operand::OperandKind::Imm:
     S.Kind = static_cast<uint8_t>(UopSrcKind::Imm);
@@ -132,8 +133,9 @@ int genericCost(const Instruction &) { return 100; }
 int fastCost(const Instruction &) { return 10; }
 
 const UopKernelInfo Library[] = {
-    // Generic fallbacks: re-enter the legacy interpreter on the original
-    // instruction. Highest complexity, so any specialized row wins.
+    // Generic rows: decode the original instruction's operands on every
+    // execution (executeLanes / executeMemory). Highest complexity, so any
+    // specialized row wins.
     {"legacy.lanes", UopExec::LegacyLanes,
      [](const Instruction &I, const Kernel &) {
        return !isMemOp(I.Op) && !isControlOp(I.Op);
@@ -307,7 +309,7 @@ const UopKernelInfo Library[] = {
      fastCost},
 };
 
-/// Maps an instrumentation action to the trace record opcode the legacy
+/// Maps an instrumentation action to the trace record opcode the generic
 /// executeMemory would emit (Invalid = no record for this action).
 RecordOp memRecordOp(LogActionKind Action, bool &Sync) {
   Sync = false;
@@ -376,12 +378,8 @@ const std::vector<UopKernelInfo> &sim::uopKernelLibrary() {
 std::unique_ptr<LoweredKernel>
 sim::lowerKernel(const Module &M, const Kernel &K,
                  const instrument::KernelInstrumentation *Instr) {
-  // Register and guard indices are stored in 16 bits; kernels that exceed
-  // that (none in practice) run on the legacy interpreter.
-  if (K.Regs.size() > 0x10000)
-    return nullptr;
-  if (Instr && Instr->Insns.size() != K.Body.size())
-    return nullptr;
+  assert((!Instr || Instr->Insns.size() == K.Body.size()) &&
+         "instrumentation annotates a different kernel body");
 
   auto Low = std::make_unique<LoweredKernel>();
   Low->Instrumented = Instr != nullptr;
@@ -389,7 +387,7 @@ sim::lowerKernel(const Module &M, const Kernel &K,
   Low->Uops.assign(N, Uop{});
 
   // The CFG provides block boundaries and, for native launches, the
-  // reconvergence points the interpreter would compute on demand.
+  // reconvergence points of their divergent branches.
   std::shared_ptr<const Cfg> OwnCfg;
   const Cfg *C;
   if (Instr) {
@@ -411,7 +409,7 @@ sim::lowerKernel(const Module &M, const Kernel &K,
       U.Flags |= UF_Guarded;
       if (Insn.GuardNegated)
         U.Flags |= UF_GuardNeg;
-      U.Guard = static_cast<uint16_t>(Insn.GuardPred);
+      U.Guard = static_cast<uint32_t>(Insn.GuardPred);
     }
 
     // Pick the executor: lowest-complexity supporting library row.
@@ -426,9 +424,12 @@ sim::lowerKernel(const Module &M, const Kernel &K,
         BestCost = Cost;
       }
     }
-    if (!Best)
-      return nullptr;
-    U.Exec = static_cast<uint8_t>(Best->Exec);
+    // The generic rows take every non-control opcode and the control rows
+    // every verified control instruction. An unverified branch without a
+    // target lands on LegacyLanes, whose executeLanes faults the launch.
+    assert(Best && "no uop kernel supports a verified instruction");
+    UopExec Exec = Best ? Best->Exec : UopExec::LegacyLanes;
+    U.Exec = static_cast<uint8_t>(Exec);
 
     unsigned AluBytes = Insn.Ty == Type::None ? 8 : sizeOfType(Insn.Ty);
     if (Insn.Ty == Type::Pred)
@@ -443,7 +444,7 @@ sim::lowerKernel(const Module &M, const Kernel &K,
       U.DstBytes = static_cast<uint8_t>(sizeOfType(Reg.Ty));
     };
 
-    switch (Best->Exec) {
+    switch (Exec) {
     case UopExec::LegacyLanes:
     case UopExec::LegacyMem:
     case UopExec::Nop:
@@ -452,8 +453,8 @@ sim::lowerKernel(const Module &M, const Kernel &K,
 
     case UopExec::Bra: {
       U.Target = static_cast<uint32_t>(Insn.Ops[0].Target);
-      // Baked reconvergence point: what the interpreter's
-      // reconvergencePoint(Pc) would return for this branch.
+      // Baked reconvergence point: the instrumentation's override for
+      // logged branches, else the branch's immediate post-dominator.
       if (Instr) {
         const InsnAnnotation &Note = Instr->Insns[Pc];
         U.Reconv = Note.Action == LogActionKind::Branch
@@ -607,11 +608,11 @@ sim::lowerKernel(const Module &M, const Kernel &K,
           break;
         }
       }
-      if (Best->Exec == UopExec::Ld) {
+      if (Exec == UopExec::Ld) {
         bakeDst(Insn.Ops[0]);
         if (isSignedType(Insn.Ty))
           U.Flags |= UF_SignExt;
-      } else if (Best->Exec == UopExec::St) {
+      } else if (Exec == UopExec::St) {
         foldOperand(U.Srcs[0], Insn.Ops[1], M, K, Insn.Ty);
       } else {
         U.AtomOp = static_cast<uint8_t>(Insn.Atomic);
@@ -623,7 +624,7 @@ sim::lowerKernel(const Module &M, const Kernel &K,
         if (!Insn.NoDest)
           bakeDst(Insn.Ops[0]);
       }
-      // Bake the trace-record decision the annotated interpreter makes at
+      // Bake the trace-record decision the generic executeMemory makes at
       // run time. A record is emitted iff the annotation logs(); pruning
       // is counted separately, exactly as executeMemory does.
       if (Instr) {
@@ -644,7 +645,8 @@ sim::lowerKernel(const Module &M, const Kernel &K,
 
     case UopExec::SetpBra:
     case UopExec::Count:
-      return nullptr; // never selected by the library
+      assert(false && "never selected by the library");
+      break;
     }
   }
 
@@ -659,7 +661,7 @@ sim::lowerKernel(const Module &M, const Kernel &K,
     Low->Uops[Blk.End - 1].Flags |= UF_EndsBlock;
   }
 
-  // Fused setp+bra: native launches only — the instrumented interpreter
+  // Fused setp+bra: native launches only — the instrumented dispatch
   // may emit an If record between the two, and record order must be
   // preserved exactly.
   if (!Instr) {
@@ -671,7 +673,7 @@ sim::lowerKernel(const Module &M, const Kernel &K,
       const Uop &B = Low->Uops[Pc + 1];
       if (static_cast<UopExec>(B.Exec) != UopExec::Bra ||
           !(B.Flags & UF_Guarded) ||
-          B.Guard != static_cast<uint16_t>(U.Dst))
+          B.Guard != static_cast<uint32_t>(U.Dst))
         continue;
       U.Exec = static_cast<uint8_t>(UopExec::SetpBra);
       ++Low->FusedBranches;

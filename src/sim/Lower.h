@@ -41,8 +41,9 @@ const std::vector<UopKernelInfo> &uopKernelLibrary();
 /// Lowers \p K to micro-ops. \p Instr, when non-null, bakes the
 /// instrumentation's trace-record decisions (record opcode, scope, pruning,
 /// reconvergence overrides) into the uops; pass the same value the launch
-/// will use. Returns nullptr when the kernel cannot be lowered (callers
-/// fall back to the legacy interpreter).
+/// will use, and it must annotate \p K (one entry per instruction).
+/// Succeeds on every kernel the parser and verifier accept: the generic
+/// library rows cover every opcode without a specialised executor.
 std::unique_ptr<LoweredKernel>
 lowerKernel(const ptx::Module &M, const ptx::Kernel &K,
             const instrument::KernelInstrumentation *Instr);

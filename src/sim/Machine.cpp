@@ -126,10 +126,6 @@ public:
         Weak(Mach.Options.WeakProfile, Mach.Memory,
              Mach.Options.WeakSeed +
                  0x9E3779B97F4A7C15ULL * ++Mach.LaunchSeq) {
-    // The lowered path bakes reconvergence points into the uops; only the
-    // legacy native path needs a CFG of its own.
-    if (!Instr && !Low)
-      OwnCfg = std::make_unique<ptx::Cfg>(K);
     if (Mach.Options.Profiler) {
       Profiling = true;
       PcExecuted.resize(K.Body.size(), 0);
@@ -154,8 +150,8 @@ private:
     bool Done = false;
     /// Set when a fused uop pair executed both halves in one dispatch:
     /// the warp skips exactly one scheduler slot so that every memory
-    /// access and trace record still lands in the same slot as under the
-    /// legacy one-instruction-per-pass interpreter.
+    /// access and trace record still lands in the same slot as under an
+    /// unfused one-instruction-per-pass schedule.
     bool Stall = false;
     /// The bar.sync pc this warp is parked at (valid while AtBarrier);
     /// names the blocker when a divergent barrier hangs the launch.
@@ -290,22 +286,22 @@ private:
     return Base + static_cast<uint64_t>(Op.Imm);
   }
 
-  /// Resolves the dynamic state space of a memory access.
-  StateSpace resolveSpace(const Instruction &Insn, uint64_t &Addr) {
-    switch (Insn.Space) {
-    case StateSpace::Generic:
+  /// Resolves the dynamic state space of an access whose static space is
+  /// \p Static, rebasing generic shared addresses into the shared window.
+  static StateSpace resolveSpace(StateSpace Static, uint64_t &Addr) {
+    if (Static == StateSpace::Generic) {
       if (isGenericSharedAddress(Addr)) {
         Addr -= GenericSharedBase;
         return StateSpace::Shared;
       }
       return StateSpace::Global;
-    case StateSpace::Shared:
+    }
+    if (Static == StateSpace::Shared) {
       if (isGenericSharedAddress(Addr))
         Addr -= GenericSharedBase;
       return StateSpace::Shared;
-    default:
-      return Insn.Space;
     }
+    return Static;
   }
 
   uint64_t loadFrom(BlockExec &B, uint32_t ThreadInBlock, StateSpace Space,
@@ -397,14 +393,6 @@ private:
     return Note.logs() ? &Note : nullptr;
   }
 
-  uint32_t reconvergencePoint(uint32_t Pc) const {
-    if (Instr)
-      return Instr->Insns[Pc].Action == LogActionKind::Branch
-                 ? Instr->Insns[Pc].ReconvPc
-                 : Instr->Cfg->reconvergencePoint(Pc);
-    return OwnCfg->reconvergencePoint(Pc);
-  }
-
   void emit(const BlockExec &B, const LogRecord &Record) {
     Logger->log(B.BlockId, Record);
     ++RecordsLogged;
@@ -422,21 +410,6 @@ private:
   }
 
   // --- execution --------------------------------------------------------
-  uint32_t guardMask(BlockExec &B, const WarpExec &W,
-                     const Instruction &Insn) {
-    uint32_t Mask = 0;
-    uint32_t BaseThread = W.WarpInBlock * Config.WarpSize;
-    for (unsigned Lane = 0; Lane != Config.WarpSize; ++Lane) {
-      uint32_t Thread = BaseThread + Lane;
-      if (Thread >= Config.threadsPerBlock())
-        break;
-      bool Pred = reg(B, Thread, Insn.GuardPred) != 0;
-      if (Pred != Insn.GuardNegated)
-        Mask |= 1u << Lane;
-    }
-    return Mask;
-  }
-
   void retireLanes(BlockExec &B, WarpExec &W, uint32_t Mask) {
     (void)B;
     for (StackEntry &Entry : W.Stack)
@@ -473,40 +446,15 @@ private:
     }
   }
 
-  void executeBranch(BlockExec &B, WarpExec &W, const Instruction &Insn,
-                     uint32_t Pc, uint32_t Active, uint32_t Exec) {
-    StackEntry &Top = W.Stack.back();
-    uint32_t Target = static_cast<uint32_t>(Insn.Ops[0].Target);
-    if (!Insn.isGuarded() || Exec == Active) {
-      Top.NextPc = Target;
-      return;
-    }
-    if (Exec == 0) {
-      Top.NextPc = Pc + 1;
-      return;
-    }
-    // Divergence. The current entry becomes the reconvergence entry; the
-    // taken path is pushed first and the fallthrough path on top, so the
-    // fallthrough ("then") path executes first, matching the IF rule.
-    uint32_t Reconv = reconvergencePoint(Pc);
-    uint32_t TakenMask = Exec;
-    uint32_t FallMask = Active & ~Exec;
-    if (Profiling)
-      ++PcDivergences[Pc];
-    Top.NextPc = Reconv;
-    W.Stack.push_back(StackEntry{Reconv, Target, TakenMask});
-    W.Stack.push_back(StackEntry{Reconv, Pc + 1, FallMask});
-    emitControl(B, W, RecordOp::If, Pc, FallMask, TakenMask);
-  }
-
+  // --- generic library rows (LegacyMem / LegacyLanes) -------------------
+  // Decode the original instruction's operands on every execution; they
+  // cover every memory and ALU opcode the specialised rows do not.
   void executeMemory(BlockExec &B, WarpExec &W, const Instruction &Insn,
                      uint32_t Pc, uint32_t Exec);
   void executeLanes(BlockExec &B, WarpExec &W, const Instruction &Insn,
                     uint32_t Exec);
 
-  bool stepWarp(BlockExec &B, WarpExec &W);
-
-  // --- lowered (micro-op) fast path -------------------------------------
+  // --- micro-op dispatch -----------------------------------------------
 
   uint64_t readUopSrc(BlockExec &B, uint32_t Thread, const UopSrc &S) {
     switch (static_cast<UopSrcKind>(S.Kind)) {
@@ -529,7 +477,7 @@ private:
     reg(B, Thread, U.Dst) = Value;
   }
 
-  uint32_t guardMaskLowered(BlockExec &B, const WarpExec &W, const Uop &U) {
+  uint32_t guardMask(BlockExec &B, const WarpExec &W, const Uop &U) {
     uint32_t Mask = 0;
     uint32_t BaseThread = W.WarpInBlock * Config.WarpSize;
     bool Neg = (U.Flags & UF_GuardNeg) != 0;
@@ -542,22 +490,6 @@ private:
         Mask |= 1u << Lane;
     }
     return Mask;
-  }
-
-  static StateSpace resolveSpaceLowered(StateSpace Static, uint64_t &Addr) {
-    if (Static == StateSpace::Generic) {
-      if (isGenericSharedAddress(Addr)) {
-        Addr -= GenericSharedBase;
-        return StateSpace::Shared;
-      }
-      return StateSpace::Global;
-    }
-    if (Static == StateSpace::Shared) {
-      if (isGenericSharedAddress(Addr))
-        Addr -= GenericSharedBase;
-      return StateSpace::Shared;
-    }
-    return Static;
   }
 
   /// Direct-mapped per-launch page cache: global-memory accesses skip the
@@ -671,10 +603,10 @@ private:
     }
   }
 
-  /// executeBranch over a pre-lowered branch uop (target and
-  /// reconvergence point baked at lowering time).
-  void executeBranchLowered(BlockExec &B, WarpExec &W, const Uop &U,
-                            uint32_t Pc, uint32_t Active, uint32_t Exec) {
+  /// Executes a branch uop (target and reconvergence point baked at
+  /// lowering time).
+  void executeBranch(BlockExec &B, WarpExec &W, const Uop &U, uint32_t Pc,
+                     uint32_t Active, uint32_t Exec) {
     StackEntry &Top = W.Stack.back();
     if (!(U.Flags & UF_Guarded) || Exec == Active) {
       Top.NextPc = U.Target;
@@ -684,6 +616,9 @@ private:
       Top.NextPc = Pc + 1;
       return;
     }
+    // Divergence. The current entry becomes the reconvergence entry; the
+    // taken path is pushed first and the fallthrough path on top, so the
+    // fallthrough ("then") path executes first, matching the IF rule.
     uint32_t Reconv = U.Reconv;
     uint32_t TakenMask = Exec;
     uint32_t FallMask = Active & ~Exec;
@@ -695,10 +630,9 @@ private:
     emitControl(B, W, RecordOp::If, Pc, FallMask, TakenMask);
   }
 
-  void emitMemRecordsLowered(BlockExec &B, WarpExec &W, const Uop &U,
-                             const uint64_t *LaneAddr,
-                             const uint64_t *LaneValue, uint32_t GlobalMask,
-                             uint32_t SharedMask);
+  void emitMemRecords(BlockExec &B, WarpExec &W, const Uop &U,
+                      const uint64_t *LaneAddr, const uint64_t *LaneValue,
+                      uint32_t GlobalMask, uint32_t SharedMask);
 
   // Micro-op executors (one per UopExec value the handler table covers).
   void uopLegacyLanes(BlockExec &B, WarpExec &W, const Uop &U, uint32_t Exec);
@@ -730,7 +664,7 @@ private:
                                              const Uop &, uint32_t);
   static const UopHandler UopHandlers[];
 
-  bool stepWarpLowered(BlockExec &B, WarpExec &W);
+  bool dispatchWarp(BlockExec &B, WarpExec &W);
 
   void initBlock(BlockExec &B, uint32_t BlockId);
 
@@ -766,7 +700,6 @@ private:
   const std::vector<uint8_t> &Params;
   DeviceLogger *Logger;
   StoreBufferModel Weak;
-  std::unique_ptr<ptx::Cfg> OwnCfg;
 
   /// Per-launch direct-mapped cache over GlobalMemory's page table
   /// (lowered path only; bypassed when the weak model is active).
@@ -783,7 +716,7 @@ private:
   uint64_t RecordsPruned = 0;
   /// Launch-local per-PC profile (continuous profiling): plain arrays,
   /// merged into Mach.Options.Profiler once at the end of run(). When
-  /// detached (Profiling false) the interpreter pays one predicted
+  /// detached (Profiling false) the dispatch loop pays one predicted
   /// branch per site and no memory traffic.
   bool Profiling = false;
   std::vector<uint64_t> PcExecuted;
@@ -840,7 +773,7 @@ void Machine::LaunchContext::executeMemory(BlockExec &B, WarpExec &W,
       continue;
     uint32_t Thread = BaseThread + Lane;
     uint64_t Addr = operandAddress(B, Thread, Mem);
-    StateSpace Space = resolveSpace(Insn, Addr);
+    StateSpace Space = resolveSpace(Insn.Space, Addr);
     LaneAddr[Lane] = Addr;
     if (Space == StateSpace::Shared)
       SharedMask |= 1u << Lane;
@@ -1319,78 +1252,6 @@ void Machine::LaunchContext::executeLanes(BlockExec &B, WarpExec &W,
   }
 }
 
-bool Machine::LaunchContext::stepWarp(BlockExec &B, WarpExec &W) {
-  assert(!W.Stack.empty() && "stepping a finished warp");
-  StackEntry &Top = W.Stack.back();
-  uint32_t Pc = Top.NextPc;
-
-  if (Pc >= K.Body.size()) {
-    // Implicit exit at the end of the body.
-    retireLanes(B, W, Top.Mask);
-    cleanupStack(B, W);
-    return true;
-  }
-
-  const Instruction &Insn = K.Body[Pc];
-  uint32_t Active = Top.Mask;
-  uint32_t Exec = Active;
-  if (Insn.isGuarded() && !Insn.isBranch())
-    Exec &= guardMask(B, W, Insn);
-  ++Executed;
-  if (Profiling)
-    ++PcExecuted[Pc];
-
-  switch (Insn.Op) {
-  case Opcode::Bra: {
-    uint32_t Guard = Insn.isGuarded() ? (guardMask(B, W, Insn) & Active)
-                                      : Active;
-    executeBranch(B, W, Insn, Pc, Active, Guard);
-    cleanupStack(B, W);
-    return true;
-  }
-  case Opcode::Ret:
-  case Opcode::Exit:
-    Top.NextPc = Pc + 1;
-    retireLanes(B, W, Exec);
-    cleanupStack(B, W);
-    return true;
-  case Opcode::Bar: {
-    if (Exec) {
-      if (annotation(Pc))
-        emitControl(B, W, RecordOp::Bar, Pc, Exec);
-      W.AtBarrier = true;
-      W.BarrierPc = Pc;
-    }
-    Top.NextPc = Pc + 1;
-    cleanupStack(B, W);
-    return true;
-  }
-  case Opcode::Membar:
-    if (Weak.enabled() && Exec)
-      Weak.fence(B.BlockId, Insn.Fence != FenceScopeKind::FS_Cta);
-    Top.NextPc = Pc + 1;
-    cleanupStack(B, W);
-    return true;
-  case Opcode::Ld:
-  case Opcode::St:
-  case Opcode::Atom:
-    if (Exec) {
-      if (Profiling)
-        ++PcMemOps[Pc];
-      executeMemory(B, W, Insn, Pc, Exec);
-    }
-    Top.NextPc = Pc + 1;
-    cleanupStack(B, W);
-    return true;
-  default:
-    if (Exec)
-      executeLanes(B, W, Insn, Exec);
-    Top.NextPc = Pc + 1;
-    cleanupStack(B, W);
-    return true;
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Lowered (micro-op) dispatch
 //===----------------------------------------------------------------------===//
@@ -1812,7 +1673,7 @@ void Machine::LaunchContext::uopLd(BlockExec &B, WarpExec &W, const Uop &U,
     uint64_t Addr =
         (U.AddrReg >= 0 ? reg(B, Thread, U.AddrReg) : 0) + U.AddrDisp;
     StateSpace Space =
-        resolveSpaceLowered(static_cast<StateSpace>(U.Space), Addr);
+        resolveSpace(static_cast<StateSpace>(U.Space), Addr);
     LaneAddr[Lane] = Addr;
     if (Space == StateSpace::Shared)
       SharedMask |= 1u << Lane;
@@ -1827,7 +1688,7 @@ void Machine::LaunchContext::uopLd(BlockExec &B, WarpExec &W, const Uop &U,
       return;
   }
 
-  emitMemRecordsLowered(B, W, U, LaneAddr, nullptr, GlobalMask, SharedMask);
+  emitMemRecords(B, W, U, LaneAddr, nullptr, GlobalMask, SharedMask);
 }
 
 void Machine::LaunchContext::uopSt(BlockExec &B, WarpExec &W, const Uop &U,
@@ -1847,7 +1708,7 @@ void Machine::LaunchContext::uopSt(BlockExec &B, WarpExec &W, const Uop &U,
     uint64_t Addr =
         (U.AddrReg >= 0 ? reg(B, Thread, U.AddrReg) : 0) + U.AddrDisp;
     StateSpace Space =
-        resolveSpaceLowered(static_cast<StateSpace>(U.Space), Addr);
+        resolveSpace(static_cast<StateSpace>(U.Space), Addr);
     LaneAddr[Lane] = Addr;
     if (Space == StateSpace::Shared)
       SharedMask |= 1u << Lane;
@@ -1861,7 +1722,7 @@ void Machine::LaunchContext::uopSt(BlockExec &B, WarpExec &W, const Uop &U,
       return;
   }
 
-  emitMemRecordsLowered(B, W, U, LaneAddr, LaneValue, GlobalMask, SharedMask);
+  emitMemRecords(B, W, U, LaneAddr, LaneValue, GlobalMask, SharedMask);
 }
 
 void Machine::LaunchContext::uopAtom(BlockExec &B, WarpExec &W, const Uop &U,
@@ -1880,7 +1741,7 @@ void Machine::LaunchContext::uopAtom(BlockExec &B, WarpExec &W, const Uop &U,
     uint64_t Addr =
         (U.AddrReg >= 0 ? reg(B, Thread, U.AddrReg) : 0) + U.AddrDisp;
     StateSpace Space =
-        resolveSpaceLowered(static_cast<StateSpace>(U.Space), Addr);
+        resolveSpace(static_cast<StateSpace>(U.Space), Addr);
     LaneAddr[Lane] = Addr;
     if (Space == StateSpace::Shared)
       SharedMask |= 1u << Lane;
@@ -1903,10 +1764,10 @@ void Machine::LaunchContext::uopAtom(BlockExec &B, WarpExec &W, const Uop &U,
       return;
   }
 
-  emitMemRecordsLowered(B, W, U, LaneAddr, nullptr, GlobalMask, SharedMask);
+  emitMemRecords(B, W, U, LaneAddr, nullptr, GlobalMask, SharedMask);
 }
 
-void Machine::LaunchContext::emitMemRecordsLowered(
+void Machine::LaunchContext::emitMemRecords(
     BlockExec &B, WarpExec &W, const Uop &U, const uint64_t *LaneAddr,
     const uint64_t *LaneValue, uint32_t GlobalMask, uint32_t SharedMask) {
   if ((U.Flags & UF_Pruned) && Logger)
@@ -1984,13 +1845,13 @@ const Machine::LaunchContext::UopHandler
         nullptr,                                 // SetpBra (inline)
 };
 
-/// One scheduler slot of a warp on the pre-lowered kernel: identical
-/// observable behavior to stepWarp, but dispatching pre-decoded micro-ops
-/// and running stack cleanup only at basic-block boundaries (mid-block
-/// cleanups are provably no-ops). Fused pairs execute both halves here
-/// and set W.Stall so the warp skips the next slot, keeping every
-/// cross-warp-visible effect in the same slot as the legacy interpreter.
-bool Machine::LaunchContext::stepWarpLowered(BlockExec &B, WarpExec &W) {
+/// One scheduler slot of a warp on the lowered kernel: dispatches the
+/// pre-decoded micro-op at the warp's pc and runs stack cleanup only at
+/// basic-block boundaries (mid-block cleanups are provably no-ops).
+/// Fused pairs execute both halves here and set W.Stall so the warp skips
+/// the next slot, keeping every cross-warp-visible effect in the same
+/// slot as an unfused one-instruction-per-pass schedule.
+bool Machine::LaunchContext::dispatchWarp(BlockExec &B, WarpExec &W) {
   static_assert(sizeof(UopHandlers) / sizeof(UopHandlers[0]) ==
                     static_cast<size_t>(UopExec::Count),
                 "handler table must cover every UopExec");
@@ -2009,7 +1870,7 @@ bool Machine::LaunchContext::stepWarpLowered(BlockExec &B, WarpExec &W) {
   uint32_t Active = Top.Mask;
   uint32_t Exec = Active;
   if ((U.Flags & UF_Guarded) && static_cast<UopExec>(U.Exec) != UopExec::Bra)
-    Exec &= guardMaskLowered(B, W, U);
+    Exec &= guardMask(B, W, U);
   ++Executed;
   if (Profiling)
     ++PcExecuted[Pc];
@@ -2017,23 +1878,23 @@ bool Machine::LaunchContext::stepWarpLowered(BlockExec &B, WarpExec &W) {
   switch (static_cast<UopExec>(U.Exec)) {
   case UopExec::Bra: {
     uint32_t Guard = (U.Flags & UF_Guarded)
-                         ? (guardMaskLowered(B, W, U) & Active)
+                         ? (guardMask(B, W, U) & Active)
                          : Active;
-    executeBranchLowered(B, W, U, Pc, Active, Guard);
+    executeBranch(B, W, U, Pc, Active, Guard);
     cleanupStack(B, W);
     return true;
   }
   case UopExec::SetpBra: {
     // Fused compare-and-branch (native launches only): the setp executes
     // now, the branch executes in the same slot, and the warp stalls one
-    // slot to stay pass-aligned with the legacy interpreter.
+    // slot to stay pass-aligned with the unfused schedule.
     uopSetp(B, W, U, Exec);
     const Uop &Br = Low->Uops[Pc + 1];
     ++Executed;
     if (Profiling)
       ++PcExecuted[Pc + 1];
-    uint32_t Guard = guardMaskLowered(B, W, Br) & Active;
-    executeBranchLowered(B, W, Br, Pc + 1, Active, Guard);
+    uint32_t Guard = guardMask(B, W, Br) & Active;
+    executeBranch(B, W, Br, Pc + 1, Active, Guard);
     W.Stall = true;
     cleanupStack(B, W);
     return true;
@@ -2072,7 +1933,7 @@ bool Machine::LaunchContext::stepWarpLowered(BlockExec &B, WarpExec &W) {
     if ((U.Flags & UF_FuseNext) && !Failed) {
       // Fused pair: the second op is unguarded pure-ALU, so executing it
       // early is unobservable to other warps; the stall keeps the warp's
-      // slot count identical to the legacy interpreter's.
+      // slot count identical to the unfused schedule's.
       const Uop &Next = Low->Uops[Pc + 1];
       ++Executed;
       if (Profiling)
@@ -2147,7 +2008,7 @@ LaunchResult Machine::LaunchContext::run() {
           if (W.Stall) {
             // Second half of a fused uop pair already executed last
             // slot; burn this slot so cross-warp interleaving matches
-            // the legacy one-instruction-per-pass interpreter.
+            // the unfused one-instruction-per-pass schedule.
             W.Stall = false;
             Progress = true;
             continue;
@@ -2176,7 +2037,7 @@ LaunchResult Machine::LaunchContext::run() {
               continue;
             }
           }
-          Progress |= Low ? stepWarpLowered(B, W) : stepWarp(B, W);
+          Progress |= dispatchWarp(B, W);
           if (Failed)
             break;
         }
@@ -2303,12 +2164,15 @@ LaunchResult Machine::launch(const Module &M, const Kernel &K,
                              const std::vector<uint8_t> &ParamBuffer,
                              DeviceLogger *Logger, const LoweredKernel *Low,
                              const support::CancelToken *Cancel) {
-  // A lowered kernel is only usable if it matches this body and was
-  // lowered for the same mode (native vs instrumented); otherwise run
-  // the legacy interpreter.
-  if (Low && (Low->Uops.size() != K.Body.size() ||
-              Low->Instrumented != (Instr != nullptr)))
-    Low = nullptr;
+  // A caller's lowering is only usable if it matches this body and was
+  // lowered for the same mode (native vs instrumented); otherwise lower
+  // the kernel for this launch alone.
+  std::unique_ptr<LoweredKernel> Own;
+  if (!Low || Low->Uops.size() != K.Body.size() ||
+      Low->Instrumented != (Instr != nullptr)) {
+    Own = lowerKernel(M, K, Instr);
+    Low = Own.get();
+  }
   LaunchContext Context(*this, M, K, Instr, Config, ParamBuffer, Logger, Low,
                         Cancel);
   obs::Span Execute(Options.Tracer,

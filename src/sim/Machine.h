@@ -26,7 +26,6 @@
 #include "instrument/Instrumenter.h"
 #include "obs/Profiler.h"
 #include "obs/Trace.h"
-#include "ptx/Cfg.h"
 #include "ptx/Ir.h"
 #include "sim/LaunchConfig.h"
 #include "sim/Logger.h"
@@ -134,14 +133,14 @@ public:
   /// Runs one kernel to completion.
   ///
   /// \param Instr instrumentation annotations for \p K; when null the
-  ///        kernel runs native (no logging) and the machine derives
-  ///        reconvergence points itself.
+  ///        kernel runs native (no logging).
   /// \param Logger destination for log records; may be null (native).
-  /// \param Low the kernel pre-lowered to micro-ops (see sim/Lower.h);
-  ///        when non-null the machine runs the block dispatch loop over
-  ///        the uop array instead of re-decoding instructions. Must have
-  ///        been lowered with the same \p Instr value (native vs
-  ///        instrumented); mismatches fall back to the legacy path.
+  /// \param Low the kernel pre-lowered to micro-ops (see sim/Lower.h),
+  ///        typically cached by the caller across launches. Every launch
+  ///        runs the block dispatch loop over a lowering: when \p Low is
+  ///        null, or does not match \p K's body or the \p Instr mode
+  ///        (native vs instrumented), the machine lowers \p K itself for
+  ///        this launch.
   /// \param Cancel cooperative cancellation token polled at scheduling
   ///        boundaries; a tripped token retires the launch with a typed
   ///        Cancelled/DeadlineExceeded failure (records logged so far

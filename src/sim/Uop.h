@@ -18,7 +18,7 @@
 /// 1:1 without a translation table. Fusion does not compact the array;
 /// a fused pair executes both micro-ops in one dispatch (the second one
 /// in place) and the warp then skips one scheduler slot, keeping the
-/// instruction-count accounting identical to the legacy interpreter.
+/// instruction-count accounting identical to an unfused schedule.
 ///
 /// The Uop layout is padding-free by construction (explicit pad fields,
 /// static_asserts below) so that lowering the same kernel twice yields
@@ -49,27 +49,29 @@ enum class UopSrcKind : uint8_t {
 };
 
 /// A pre-decoded source operand. Immediates are folded at lowering time
-/// with the exact conversion the legacy interpreter would apply at read
-/// time (float immediates via floatToBits with the instruction's type),
-/// so execution is a 3-way switch instead of the full operand decode.
+/// with the exact conversion the generic rows apply at read time (float
+/// immediates via floatToBits with the instruction's type), so execution
+/// is a 3-way switch instead of the full operand decode.
 struct UopSrc {
   uint8_t Kind = 0;    ///< UopSrcKind
   uint8_t Special = 0; ///< ptx::SpecialReg when Kind == Special
-  uint16_t Reg = 0;    ///< register index when Kind == Reg
-  uint32_t Pad = 0;
+  uint16_t Pad = 0;
+  uint32_t Reg = 0;    ///< register index when Kind == Reg
   uint64_t Imm = 0;    ///< folded literal when Kind == Imm
 };
 
 static_assert(sizeof(UopSrc) == 16, "UopSrc layout changed");
+static_assert(offsetof(UopSrc, Imm) == 8, "UopSrc has implicit padding");
 
 /// Selectable micro-op executors. Each value indexes the machine's handler
 /// table; which executor a given instruction gets is decided at lowering
 /// time by the uop kernel library (see UopKernelInfo). LegacyLanes and
-/// LegacyMem are the generic fallbacks that re-enter the old per-operand
-/// interpreter for the rare opcodes without a specialized handler.
+/// LegacyMem are the generic rows: they decode the original instruction's
+/// operands per execution and cover the opcodes without a specialized
+/// handler.
 enum class UopExec : uint8_t {
-  LegacyLanes, ///< fall back to executeLanes on the original instruction
-  LegacyMem,   ///< fall back to executeMemory on the original instruction
+  LegacyLanes, ///< executeLanes on the original instruction
+  LegacyMem,   ///< executeMemory on the original instruction
   Nop,
   Mov,
   IntAdd,
@@ -130,9 +132,10 @@ struct Uop {
   uint8_t Exec = 0;     ///< UopExec handler selector
   uint8_t CmpClass = 0; ///< setp operand class: 0 unsigned, 1 signed, 2 float
   uint16_t Flags = 0;   ///< UF_* bits
-  uint16_t Guard = 0;   ///< guard predicate register (valid iff UF_Guarded)
   uint8_t DstBytes = 0; ///< destination register declared width
-  uint8_t AluBytes = 0; ///< operating width (legacy `Bytes`)
+  uint8_t AluBytes = 0; ///< operating width (executeLanes' `Bytes`)
+  uint8_t LogScope = 0; ///< trace::SyncScope for UF_LogSync records
+  uint8_t Pad0 = 0;
   int32_t Dst = -1;     ///< destination register, -1 if none
   uint8_t Ty = 0;       ///< ptx::Type — operating type
   uint8_t SrcTy = 0;    ///< resolved cvt source type
@@ -146,9 +149,7 @@ struct Uop {
   uint32_t Target = 0;  ///< branch target (uop index == PC)
   uint32_t Reconv = 0;  ///< baked reconvergence point for branches
   uint32_t Pc = 0;      ///< original PC (== own index; kept for fused ops)
-  uint8_t LogScope = 0; ///< trace::SyncScope for UF_LogSync records
-  uint8_t Pad0 = 0;
-  uint16_t Pad1 = 0;
+  uint32_t Guard = 0;   ///< guard predicate register (valid iff UF_Guarded)
   uint64_t AddrDisp = 0; ///< address displacement (symbol base + immediate)
   UopSrc Srcs[3];        ///< pre-decoded source operands
 };
@@ -160,8 +161,8 @@ static_assert(offsetof(Uop, Srcs) == 48, "Uop has implicit padding");
 /// One entry of the uop kernel library: a candidate executor for some
 /// class of instructions. Lowering picks, per instruction, the supporting
 /// entry with the lowest complexity — specialized handlers advertise a low
-/// complexity, the LegacyLanes/LegacyMem fallbacks a high one, so adding a
-/// new specialized kernel is just adding a registry row.
+/// complexity, the LegacyLanes/LegacyMem generic rows a high one, so
+/// adding a new specialized kernel is just adding a registry row.
 struct UopKernelInfo {
   const char *Name;
   UopExec Exec;

@@ -322,33 +322,29 @@ TEST(Profiler, FoldedStacksCoverEveryExecutedPc) {
 }
 
 TEST(Profiler, FoldedStacksIdenticalUnderLowering) {
-  // The micro-op path keeps uop indices == original PTX PCs, so hot-PC
-  // attribution — and therefore the folded flamegraph output — must be
-  // byte-identical with the legacy interpreter, at full attribution.
-  auto RunFolded = [](bool SimLowered, bool &WasLowered,
-                      double &Fraction) {
-    SessionOptions Options;
-    Options.SimLowered = SimLowered;
-    Session S(Options);
+  // The micro-op path keeps uop indices == original PTX PCs (checked by
+  // LowerCoverage.IdentityPcMapAndFusion), so hot-PC attribution joins
+  // the line table unchanged: attribution stays near-complete, and the
+  // folded flamegraph output is byte-identical from run to run.
+  auto RunFolded = [](double &Fraction) {
+    Session S;
     EXPECT_TRUE(S.loadModule(ProfiledKernel)) << S.error();
     uint64_t Buf = S.alloc(4096);
     EXPECT_TRUE(S.launchKernel("profiled", sim::Dim3(4), sim::Dim3(64),
                                {Buf, 200})
                     .ok());
     RunReport Report = S.report();
-    WasLowered = Report.Launch.SimLowered;
+    EXPECT_TRUE(Report.Launch.SimLowered);
     Fraction = Report.Profile.attributedFraction();
     return Report.foldedStacks();
   };
-  bool LoweredRan = false, LegacyRan = true;
-  double LoweredFraction = 0.0, LegacyFraction = 0.0;
-  std::string Lowered = RunFolded(true, LoweredRan, LoweredFraction);
-  std::string Legacy = RunFolded(false, LegacyRan, LegacyFraction);
-  EXPECT_TRUE(LoweredRan) << "kernel did not take the micro-op path";
-  EXPECT_FALSE(LegacyRan);
-  EXPECT_EQ(Lowered, Legacy);
-  EXPECT_GE(LoweredFraction, 0.95);
-  EXPECT_DOUBLE_EQ(LoweredFraction, LegacyFraction);
+  double First = 0.0, Second = 0.0;
+  std::string FirstFolded = RunFolded(First);
+  std::string SecondFolded = RunFolded(Second);
+  EXPECT_FALSE(FirstFolded.empty());
+  EXPECT_EQ(FirstFolded, SecondFolded);
+  EXPECT_GE(First, 0.95);
+  EXPECT_DOUBLE_EQ(First, Second);
 }
 
 TEST(Profiler, DetachedSessionsCarryNoProfile) {

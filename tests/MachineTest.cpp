@@ -75,6 +75,12 @@ struct ArithCase {
   uint32_t Expected;
 };
 
+// gtest names each case after what this prints; the default dumps the
+// struct's bytes, pointers included, so the name would change per process.
+void PrintTo(const ArithCase &Case, std::ostream *OS) {
+  *OS << "a=" << Case.A << " b=" << Case.B << " expect=" << Case.Expected;
+}
+
 class ArithSemantics : public ::testing::TestWithParam<ArithCase> {};
 
 TEST_P(ArithSemantics, Matches) {
@@ -166,6 +172,11 @@ struct AtomCase {
   uint32_t ExpectedMem;
   uint32_t ExpectedOld;
 };
+
+void PrintTo(const AtomCase &Case, std::ostream *OS) {
+  *OS << "init=" << Case.Init << " operand=" << Case.Operand
+      << " mem=" << Case.ExpectedMem << " old=" << Case.ExpectedOld;
+}
 
 class AtomSemantics : public ::testing::TestWithParam<AtomCase> {};
 

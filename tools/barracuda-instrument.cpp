@@ -77,9 +77,9 @@ int main(int ArgCount, char **Args) {
       instrument::instrumentModule(*Mod, Options);
 
   if (LineTable) {
-    // The pc column is valid for both the legacy interpreter and the
-    // lowered micro-op path: lowering keeps one uop per instruction at
-    // the same index, so profiler PCs join against this table unchanged.
+    // The pc column is valid for the lowered micro-op path: lowering
+    // keeps one uop per instruction at the same index, so profiler PCs
+    // join against this table unchanged.
     // The summary comment proves it per kernel (uop count == static
     // insns, every uop carries its own index as Pc).
     for (size_t KI = 0; KI != Mod->Kernels.size(); ++KI) {
@@ -87,17 +87,13 @@ int main(int ArgCount, char **Args) {
       std::printf("# kernel %s\n", K.Name.c_str());
       std::unique_ptr<sim::LoweredKernel> Low =
           sim::lowerKernel(*Mod, K, &Instr.Kernels[KI]);
-      if (Low) {
-        bool Identity = Low->Uops.size() == K.Body.size();
-        for (size_t Pc = 0; Identity && Pc != Low->Uops.size(); ++Pc)
-          Identity = Low->Uops[Pc].Pc == Pc;
-        std::printf("# lowered %zu uops (pc map: %s), %u fused pairs, "
-                    "%u fused setp+bra\n",
-                    Low->Uops.size(), Identity ? "identity" : "BROKEN",
-                    Low->FusedPairs, Low->FusedBranches);
-      } else {
-        std::printf("# lowered: fallback (legacy interpreter)\n");
-      }
+      bool Identity = Low->Uops.size() == K.Body.size();
+      for (size_t Pc = 0; Identity && Pc != Low->Uops.size(); ++Pc)
+        Identity = Low->Uops[Pc].Pc == Pc;
+      std::printf("# lowered %zu uops (pc map: %s), %u fused pairs, "
+                  "%u fused setp+bra\n",
+                  Low->Uops.size(), Identity ? "identity" : "BROKEN",
+                  Low->FusedPairs, Low->FusedBranches);
       for (size_t Pc = 0; Pc != K.Body.size(); ++Pc)
         std::printf("%zu %u\n", Pc, K.Body[Pc].Line);
     }

@@ -21,8 +21,6 @@
 //     --streams M          spread repeats across M concurrent streams
 //     --native             run natively (no instrumentation/detection)
 //     --legacy-detector    disable the coalescing detector hot path
-//     --legacy-sim         disable micro-op lowering (run the
-//                          per-instruction interpreter)
 //     --stats              print run statistics (RunReport text form,
 //                          including the hot-PC profile tables)
 //     --json               print the RunReport document to stdout
@@ -164,8 +162,6 @@ int main(int ArgCount, char **Args) {
               "run natively (no instrumentation/detection)");
   Cli.flagOff("--legacy-detector", Options.DetectorHotPath,
               "disable the coalescing detector hot path");
-  Cli.flagOff("--legacy-sim", Options.SimLowered,
-              "disable micro-op lowering (per-instruction interpreter)");
   Cli.flag("--stats", Stats, "print run statistics");
   Cli.flag("--json", Json, "print the RunReport document to stdout");
   Cli.stringOption("--trace-json", "OUT", TraceJsonPath,
