@@ -1,11 +1,12 @@
 //===- detector_hotpath.cpp - detector hot-path throughput ----------------===//
 //
-// Measures QueueProcessor memory-record throughput with the coalesced
-// hot path on and off (same rules, same verdicts — DetectorOptions::
-// HotPath only switches the per-byte reference loop against the
-// run-coalesced fast paths). Synthetic record streams go straight into
+// Measures QueueProcessor memory-record throughput on the coalesced
+// memory path (same-epoch fast paths, warp-coalesced shadow runs,
+// granule locking, broadcast). Synthetic record streams go straight into
 // one QueueProcessor, so the numbers isolate the detector from the
-// simulator and queue transport:
+// simulator and queue transport. Each scenario's race keys must equal
+// baseline::ReferenceDetector's on the same stream; the oracle runs
+// outside the timed region. The scenarios:
 //
 //   coalesced-global : full-warp 4-byte accesses at consecutive
 //                      addresses (the CUDA common case) over per-warp
@@ -18,7 +19,7 @@
 //                      atomic — maximal contention on one granule,
 //                      no coalescing, no races (atomics don't race).
 //   coalesced-shared : the coalesced pattern against block-shared
-//                      memory (no spinlocks either way).
+//                      memory (no spinlocks).
 //
 // Environment:
 //   BARRACUDA_HOTPATH_RECORDS  records per scenario (default 20000)
@@ -26,6 +27,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "baseline/Reference.h"
 #include "detector/Detector.h"
 #include "obs/Exporter.h"
 #include "trace/Record.h"
@@ -34,6 +36,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <tuple>
 #include <vector>
 
 using namespace barracuda;
@@ -115,19 +118,29 @@ Scenario conflicting(unsigned Count) {
   return S;
 }
 
+using RaceKey =
+    std::tuple<uint32_t, AccessKind, AccessKind, MemSpace, RaceScopeKind,
+               uint64_t>;
+
+std::vector<RaceKey> keysOf(const RaceReporter &Reporter) {
+  std::vector<RaceKey> Keys;
+  for (const RaceReport &Race : Reporter.races())
+    Keys.emplace_back(Race.Pc, Race.Current, Race.Previous, Race.Space,
+                      Race.Scope, Race.Count);
+  return Keys;
+}
+
 struct RunResult {
   double Seconds = 0;
-  size_t Races = 0;
+  std::vector<RaceKey> Keys;
   HotPathStats Stats;
 };
 
-RunResult runScenario(const Scenario &S, bool HotPath,
-                      bool CollectStats = true,
+RunResult runScenario(const Scenario &S, bool CollectStats = true,
                       bool ProfileRules = false,
                       const char *MetricsDir = nullptr) {
   DetectorOptions Opts;
   Opts.Hier = hierarchy();
-  Opts.HotPath = HotPath;
   Opts.CollectStats = CollectStats;
   Opts.ProfileRules = ProfileRules;
   SharedDetectorState State(Opts);
@@ -158,7 +171,7 @@ RunResult runScenario(const Scenario &S, bool HotPath,
   Processor.finish();
   if (Exporter)
     Exporter->stop();
-  Result.Races = State.Reporter.races().size();
+  Result.Keys = keysOf(State.Reporter);
   Result.Stats = State.hotPathStats();
   return Result;
 }
@@ -189,29 +202,24 @@ int main() {
       coalesced(Count, MemSpace::Shared),
   };
 
-  std::printf("%-17s %14s %14s %9s   hot-path counters\n", "scenario",
-              "legacy rec/s", "hotpath rec/s", "speedup");
+  std::printf("%-17s %14s   hot-path counters\n", "scenario", "rec/s");
   for (const Scenario &S : Scenarios) {
-    if (!Smoke) { // warm allocator and shadow pages
-      runScenario(S, false);
-      runScenario(S, true);
-    }
-    RunResult Legacy = runScenario(S, false);
-    RunResult Hot = runScenario(S, true);
+    baseline::ReferenceDetector Reference{hierarchy()};
+    Reference.processAll(S.Records);
+    if (!Smoke) // warm allocator and shadow pages
+      runScenario(S);
+    RunResult Hot = runScenario(S);
 
-    if (Legacy.Races != Hot.Races)
-      fail(S.Name, "verdicts differ between legacy and hot path");
+    if (Hot.Keys != keysOf(Reference.reporter()))
+      fail(S.Name, "race keys differ from the reference detector");
     if (S.ExpectCoalesced &&
         (Hot.Stats.RunsCoalesced == 0 || Hot.Stats.FastPathHits == 0))
       fail(S.Name, "expected coalesced runs and fast-path hits");
     if (!S.ExpectCoalesced && Hot.Stats.RunsCoalesced != 0)
       fail(S.Name, "unexpected coalesced runs");
 
-    double LegacyRate = Count / Legacy.Seconds;
-    double HotRate = Count / Hot.Seconds;
-    std::printf("%-17s %14.0f %14.0f %8.2fx   fast %llu, runs %llu, "
-                "page %llu/%llu\n",
-                S.Name, LegacyRate, HotRate, HotRate / LegacyRate,
+    std::printf("%-17s %14.0f   fast %llu, runs %llu, page %llu/%llu\n",
+                S.Name, Count / Hot.Seconds,
                 static_cast<unsigned long long>(Hot.Stats.FastPathHits),
                 static_cast<unsigned long long>(Hot.Stats.RunsCoalesced),
                 static_cast<unsigned long long>(Hot.Stats.PageCacheHits),
@@ -219,8 +227,8 @@ int main() {
                     Hot.Stats.PageCacheMisses));
   }
 
-  std::printf("\nlegacy = per-byte reference loop (HotPath off); both "
-              "modes run the same rules and must agree on verdicts.\n");
+  std::printf("\nrec/s = warp records per second; every scenario's race "
+              "keys match baseline::ReferenceDetector.\n");
 
   // Metrics overhead: the observability layer's promise is that stats
   // collection stays off the per-record path (processors tally plain
@@ -233,7 +241,7 @@ int main() {
     auto best = [&](bool CollectStats) {
       double Best = 1e9;
       for (int Rep = 0; Rep != 3; ++Rep) {
-        double Seconds = runScenario(S, true, CollectStats).Seconds;
+        double Seconds = runScenario(S, CollectStats).Seconds;
         if (Seconds < Best)
           Best = Seconds;
       }
@@ -269,8 +277,7 @@ int main() {
       double Best = 1e9;
       for (int Rep = 0; Rep != 5; ++Rep) {
         double Seconds =
-            runScenario(S, true, true, Profiled,
-                        Profiled ? MetricsDir : nullptr)
+            runScenario(S, true, Profiled, Profiled ? MetricsDir : nullptr)
                 .Seconds;
         if (Seconds < Best)
           Best = Seconds;

@@ -10,6 +10,65 @@ using namespace barracuda;
 using support::formatBytes;
 using support::json::Writer;
 
+void RunReport::fillFromDetector(detector::SharedDetectorState &State) {
+  Records.Processed = State.recordsProcessed();
+  Detector.Formats = State.formatStats();
+  Detector.HotPath = State.hotPathStats();
+  Detector.PeakPtvcBytes = State.peakPtvcBytes();
+  Detector.GlobalShadowBytes = State.GlobalMem.shadowBytes();
+  Detector.SharedShadowBytes = State.sharedShadowBytes();
+  Detector.SyncLocations = State.Syncs.size();
+  if (const std::shared_ptr<detector::ShardSet> &Shards = State.shards()) {
+    // Shard-owned pages live outside GlobalShadow; fold them in so the
+    // reported footprint is the whole global shadow either way.
+    Detector.GlobalShadowBytes += Shards->shadowBytes();
+    std::vector<detector::ShardSet::Sample> Samples = Shards->sample();
+    for (size_t I = 0; I != Samples.size(); ++I) {
+      DetectorSection::ShardStats Stats;
+      Stats.Index = static_cast<unsigned>(I);
+      Stats.Posted = Samples[I].Posted;
+      Stats.Applied = Samples[I].Applied;
+      Stats.RunPieces = Samples[I].RunPieces;
+      Stats.SyncMarks = Samples[I].SyncMarks;
+      Stats.Markers = Samples[I].Markers;
+      Stats.Pages = Samples[I].Pages;
+      Stats.ShadowBytes = Samples[I].ShadowBytes;
+      Stats.ProducerStalls = Samples[I].ProducerStalls;
+      Stats.TicketStalls = Samples[I].TicketStalls;
+      Stats.FastPathHits = Samples[I].FastPathHits;
+      Detector.Shards.push_back(Stats);
+    }
+  }
+
+  const detector::DetectorOptions &Options = State.options();
+  // Snapshot before the rule read-back below: Registry lookups register
+  // the names they miss.
+  if (Options.CollectStats) {
+    Writer MetricsWriter;
+    State.metrics().writeJson(MetricsWriter);
+    MetricsJson = MetricsWriter.take();
+  }
+  if (!Options.ProfileRules)
+    return;
+  // Rule attribution: each kind's exact count and its sampled-latency
+  // histogram live in the run's registry as detector.rule.<kind>.*.
+  for (unsigned Kind = 0; Kind != detector::RuleProfile::NumKinds; ++Kind) {
+    const char *Name = trace::recordOpName(static_cast<trace::RecordOp>(Kind));
+    obs::Counter &Count = State.metrics().counter(
+        std::string("detector.rule.") + Name + ".records");
+    if (!Count.value())
+      continue;
+    obs::Histogram &Ns = State.metrics().histogram(
+        std::string("detector.rule.") + Name + ".ns");
+    ProfileSection::RuleLatency Rule;
+    Rule.Kind = Name;
+    Rule.Records = Count.value();
+    Rule.Samples = Ns.count();
+    Rule.SampledNs = Ns.sum();
+    Profile.Rules.push_back(std::move(Rule));
+  }
+}
+
 std::string RunReport::toJson() const {
   Writer W;
   W.beginObject();
@@ -38,7 +97,9 @@ std::string RunReport::toJson() const {
   W.endObject();
 
   W.key("detector").beginObject();
-  W.key("hotPathEnabled").value(Detector.HotPathEnabled);
+  // Always true since the detector has one memory path; kept so the
+  // schema-3 document is unchanged.
+  W.key("hotPathEnabled").value(true);
   W.key("ptvcFormats").beginObject();
   for (size_t I = 0; I != Detector.Formats.Samples.size(); ++I)
     W.key(detector::ptvcFormatName(static_cast<detector::PtvcFormat>(I)))

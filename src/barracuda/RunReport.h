@@ -79,7 +79,6 @@ struct RunReport {
 
   /// Detector-side statistics for the launch ("detector.*" metrics).
   struct DetectorSection {
-    bool HotPathEnabled = true;
     detector::PtvcFormatStats Formats;
     detector::HotPathStats HotPath;
     uint64_t PeakPtvcBytes = 0;
@@ -248,6 +247,13 @@ struct RunReport {
   /// The launch's raw metric snapshot ("detector.*" names), already
   /// rendered as a JSON object; empty when stats collection is off.
   std::string MetricsJson;
+
+  /// Fills everything a run's detector state owns: Records.Processed,
+  /// the Detector section (shard samples included), MetricsJson when
+  /// the state collected stats, and Profile.Rules when it profiled
+  /// rules. Session launches and offline replay both report through
+  /// this, so their detector sections cannot drift apart.
+  void fillFromDetector(detector::SharedDetectorState &State);
 
   bool anyFindings() const {
     return !Races.empty() || !BarrierErrors.empty();

@@ -7,7 +7,6 @@
 #include "ptx/Parser.h"
 #include "ptx/Verifier.h"
 #include "support/Format.h"
-#include "support/Json.h"
 #include "trace/Sink.h"
 #include "trace/TraceFile.h"
 
@@ -335,7 +334,6 @@ Session::runLaunch(const std::string &KernelName, sim::Dim3 Grid,
   detector::DetectorOptions DetOpts;
   DetOpts.Hier = sim::ThreadHierarchy(Config);
   DetOpts.CollectStats = Options.CollectStats;
-  DetOpts.HotPath = Options.DetectorHotPath;
   DetOpts.ProfileRules = Options.Profile;
   DetOpts.NumQueues = Eng.numQueues();
   // 0 = one shard per detector worker; 1 = the single-table oracle.
@@ -448,38 +446,10 @@ Session::runLaunch(const std::string &KernelName, sim::Dim3 Grid,
   Report.Launch.WarpInstructions = Result.WarpInstructions;
   Report.Launch.RecordsLogged = Result.RecordsLogged;
   Report.Launch.RecordsPruned = Result.RecordsPruned;
-  Report.Records.Processed = State.recordsProcessed();
   Report.Records.Memory = Counts.memoryRecords();
   Report.Records.Sync = Counts.syncRecords();
   Report.Records.Control = Counts.controlRecords();
-  Report.Detector.HotPathEnabled = Options.DetectorHotPath;
-  Report.Detector.Formats = State.formatStats();
-  Report.Detector.HotPath = State.hotPathStats();
-  Report.Detector.PeakPtvcBytes = State.peakPtvcBytes();
-  Report.Detector.GlobalShadowBytes = State.GlobalMem.shadowBytes();
-  Report.Detector.SharedShadowBytes = State.sharedShadowBytes();
-  Report.Detector.SyncLocations = State.Syncs.size();
-  if (const std::shared_ptr<detector::ShardSet> &Shards = State.shards()) {
-    // Shard-owned pages live outside GlobalShadow; fold them in so the
-    // reported footprint is the whole global shadow either way.
-    Report.Detector.GlobalShadowBytes += Shards->shadowBytes();
-    std::vector<detector::ShardSet::Sample> Samples = Shards->sample();
-    for (size_t I = 0; I != Samples.size(); ++I) {
-      RunReport::DetectorSection::ShardStats Stats;
-      Stats.Index = static_cast<unsigned>(I);
-      Stats.Posted = Samples[I].Posted;
-      Stats.Applied = Samples[I].Applied;
-      Stats.RunPieces = Samples[I].RunPieces;
-      Stats.SyncMarks = Samples[I].SyncMarks;
-      Stats.Markers = Samples[I].Markers;
-      Stats.Pages = Samples[I].Pages;
-      Stats.ShadowBytes = Samples[I].ShadowBytes;
-      Stats.ProducerStalls = Samples[I].ProducerStalls;
-      Stats.TicketStalls = Samples[I].TicketStalls;
-      Stats.FastPathHits = Samples[I].FastPathHits;
-      Report.Detector.Shards.push_back(Stats);
-    }
-  }
+  Report.fillFromDetector(State);
   Report.Engine.NumQueues = Eng.numQueues();
   Report.Engine.QueueFullSpins = After.FullSpins - Before.FullSpins;
   Report.Engine.CommitStalls = After.CommitStalls - Before.CommitStalls;
@@ -545,33 +515,9 @@ Session::runLaunch(const std::string &KernelName, sim::Dim3 Grid,
       Report.Blackbox.Events.push_back(std::move(Out));
     }
   }
-  if (Options.CollectStats) {
-    support::json::Writer MetricsWriter;
-    State.metrics().writeJson(MetricsWriter);
-    Report.MetricsJson = MetricsWriter.take();
-  }
   if (Options.Profile) {
     Report.Profile.Enabled = true;
     Report.Profile.Kernels = Profiler_.profiles();
-    // Rule attribution: each kind's exact count and its sampled-latency
-    // histogram live in the launch registry as detector.rule.<kind>.*.
-    for (unsigned Kind = 0; Kind != detector::RuleProfile::NumKinds;
-         ++Kind) {
-      const char *Name =
-          trace::recordOpName(static_cast<trace::RecordOp>(Kind));
-      obs::Counter &Count = State.metrics().counter(
-          std::string("detector.rule.") + Name + ".records");
-      if (!Count.value())
-        continue;
-      obs::Histogram &Ns = State.metrics().histogram(
-          std::string("detector.rule.") + Name + ".ns");
-      RunReport::ProfileSection::RuleLatency Rule;
-      Rule.Kind = Name;
-      Rule.Records = Count.value();
-      Rule.Samples = Ns.count();
-      Rule.SampledNs = Ns.sum();
-      Report.Profile.Rules.push_back(std::move(Rule));
-    }
     Report.Profile.DrainNanos = After.DrainNanos - Before.DrainNanos;
     Report.Profile.ParkedNanos = Report.Engine.ParkedNanos;
     Report.Profile.WatermarkWaitNanos = Report.Engine.WatermarkWaitNanos;

@@ -80,16 +80,11 @@ struct DetectOptions {
   /// atomics on the detector hot path, one dead branch in the
   /// interpreter.
   bool Profile = true;
-  /// Use the coalescing detector hot path (same-epoch fast paths, run
-  /// coalescing, page cache). Off = rule-per-byte legacy path; reports
-  /// are identical either way.
-  bool DetectorHotPath = true;
   /// Address-range shards for global shadow state (--shadow-shards).
   /// 0 = one shard per detector worker; 1 = the single-table oracle
   /// path (no mailboxes). Each shard is exclusively owned by one
   /// worker, so its hot path takes no granule locks and no table
-  /// mutex; verdicts are identical at any count. Requires
-  /// DetectorHotPath; ignored (single-table) when the hot path is off.
+  /// mutex; verdicts are identical at any count.
   unsigned ShadowShards = 0;
   /// Simulated warp width (32 = real hardware). Smaller values expose
   /// latent warp-synchronous bugs, per the paper's Section 3.1 note.
@@ -350,8 +345,7 @@ private:
   uint64_t ParseNanos = 0;
 
   /// Per-kernel lowering cache (keyed by kernel identity; cleared on
-  /// loadModule). Entries may hold null: the kernel was found
-  /// un-lowerable once and runs legacy without re-trying every launch.
+  /// loadModule). Every entry holds a lowering.
   std::mutex LowerMutex;
   std::unordered_map<const ptx::Kernel *,
                      std::unique_ptr<sim::LoweredKernel>>

@@ -22,10 +22,7 @@ using trace::WarpSize;
 
 SharedDetectorState::SharedDetectorState(DetectorOptions Options)
     : Options(Options) {
-  // The sharded detector needs the coalesced run machinery (pieces are
-  // runs split at page boundaries); without HotPath fall back to the
-  // single locked table.
-  if (Options.ShadowShards > 1 && Options.HotPath)
+  if (Options.ShadowShards > 1)
     Shards_ = std::make_shared<ShardSet>(Options.ShadowShards,
                                          std::max(1u, Options.NumQueues),
                                          Options.Hier, Reporter);
@@ -176,8 +173,6 @@ ShadowCell *QueueProcessor::globalPage(uint64_t Addr) {
 
 ClockVal QueueProcessor::cachedEntryFor(const WarpClocks &W, uint32_t Lane,
                                         Tid Other) {
-  if (!Opts.HotPath)
-    return W.entryFor(Lane, Other, Opts.Hier.blockOf(Other));
   for (unsigned I = 0; I != EntryMemoCount; ++I)
     if (EntryMemo[I].Other == Other)
       return EntryMemo[I].Value;
@@ -315,16 +310,8 @@ struct QueueProcessor::RuleCtx {
     P.Shared.Reporter.reportRace(Pc, Current, Previous, Space, Scope, Me,
                                  Other, Addr);
   }
-  bool fastPathEnabled() const { return P.Opts.HotPath; }
   void countFastPath() { ++P.HotPath.FastPathHits; }
 };
-
-bool QueueProcessor::accessCell(ShadowCell &Cell, AccessKind Kind,
-                                WarpClocks &W, uint32_t Lane, uint32_t Pc,
-                                trace::MemSpace Space, uint64_t Addr) {
-  RuleCtx Ctx{*this, W};
-  return applyAccess(Ctx, Cell, Kind, Lane, Pc, Space, Addr);
-}
 
 const std::shared_ptr<const WarpKnowledge> &
 QueueProcessor::knowledgeFor(WarpEntry &WE) {
@@ -353,13 +340,6 @@ void QueueProcessor::handleMemory(BlockState &BS, WarpEntry &WE,
   bool IsShared = Record.space() == trace::MemSpace::Shared;
   unsigned Size = Record.AccessSize ? Record.AccessSize : 1;
   resetEntryMemo();
-
-  if (!Opts.HotPath) {
-    handleMemoryLegacy(BS, WE, Record, Kind, IsShared, Size);
-    WE.Clocks.endInsn();
-    afterClockChange(BS, WE);
-    return;
-  }
 
   // Group active lanes into maximal runs of ascending-contiguous
   // addresses (lane L+1 starting exactly where lane L's span ends).
@@ -391,34 +371,6 @@ void QueueProcessor::handleMemory(BlockState &BS, WarpEntry &WE,
 
   WE.Clocks.endInsn();
   afterClockChange(BS, WE);
-}
-
-void QueueProcessor::handleMemoryLegacy(BlockState &BS, WarpEntry &WE,
-                                        const LogRecord &Record,
-                                        AccessKind Kind, bool IsShared,
-                                        unsigned Size) {
-  // The pre-overhaul per-byte loop, kept as the baseline side of the
-  // hot-path ablation. Still uses the granule lock protocol so both
-  // modes interoperate with handleSync's cell marking.
-  for (unsigned Lane = 0; Lane != WarpSize; ++Lane) {
-    if (!((Record.ActiveMask >> Lane) & 1))
-      continue;
-    uint64_t Addr = Record.Addr[Lane];
-    for (unsigned Byte = 0; Byte != Size; ++Byte) {
-      uint64_t A = Addr + Byte;
-      if (IsShared) {
-        accessCell(BS.Shared.cell(A), Kind, WE.Clocks, Lane, Record.Pc,
-                   trace::MemSpace::Shared, A);
-      } else {
-        ShadowCell *Page = globalPage(A);
-        uint64_t Off = A & (GlobalShadow::PageSize - 1);
-        CellGuard Guard(Page[ShadowCell::lockCellIndex(Off)],
-                        /*Locked=*/true);
-        accessCell(Page[Off], Kind, WE.Clocks, Lane, Record.Pc,
-                   trace::MemSpace::Global, A);
-      }
-    }
-  }
 }
 
 void QueueProcessor::processRun(BlockState &BS, WarpEntry &WE,

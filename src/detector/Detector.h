@@ -47,10 +47,8 @@ struct DetectorOptions {
   sim::ThreadHierarchy Hier;
   /// Collect PTVC format and memory statistics (cheap; on by default).
   bool CollectStats = true;
-  /// Use the coalesced hot path for memory records (same-epoch fast
-  /// paths, warp-coalesced shadow runs, granule locking). Off falls back
-  /// to the per-byte reference loop — same verdicts, no fast paths —
-  /// which the microbench uses for before/after comparison.
+  /// Unread: every memory record takes the coalesced path. Kept only
+  /// because perfbench/src/Composed.cpp still assigns it.
   bool HotPath = true;
   /// Collect per-rule (record-kind) latency histograms. Sampled: every
   /// 64th record of each kind is timed, so the overhead stays within the
@@ -59,7 +57,7 @@ struct DetectorOptions {
   bool ProfileRules = false;
   /// Address-range shards for the global-memory shadow. 1 = the single
   /// locked GlobalShadow table (the oracle); >1 activates the sharded
-  /// detector (requires HotPath). See Shard.h.
+  /// detector. See Shard.h.
   unsigned ShadowShards = 1;
   /// Number of record queues feeding the run (producers per mailbox
   /// row). Must match the trace layout when sharding is active.
@@ -154,8 +152,8 @@ public:
   /// Count of synchronization tickets fully processed.
   std::atomic<uint32_t> SyncProcessed{0};
 
-  /// The shard partition, present iff ShadowShards > 1 && HotPath. Held
-  /// by shared_ptr so an engine launch can keep the mailboxes alive for
+  /// The shard partition, present iff ShadowShards > 1. Held by
+  /// shared_ptr so an engine launch can keep the mailboxes alive for
   /// idle workers that outlast this state (they only touch mailbox
   /// atomics once quiescent).
   const std::shared_ptr<ShardSet> &shards() const { return Shards_; }
@@ -300,9 +298,6 @@ private:
 
   void handleMemory(BlockState &BS, WarpEntry &WE,
                     const trace::LogRecord &Record);
-  void handleMemoryLegacy(BlockState &BS, WarpEntry &WE,
-                          const trace::LogRecord &Record, AccessKind Kind,
-                          bool IsShared, unsigned Size);
   /// Applies one coalesced run, split at shadow-page boundaries: each
   /// piece is walked inline (page resolution, granule locking,
   /// leader-check + broadcast) or posted to its owning shard.
@@ -319,12 +314,6 @@ private:
   void releaseBarrier(BlockState &BS);
   void handleWarpEnd(BlockState &BS, const trace::LogRecord &Record);
   void handleBlockEnd(BlockState &BS);
-
-  /// Runs the full FastTrack-style rules on one byte cell. Returns true
-  /// iff a race was reported (disables broadcasting for the run).
-  bool accessCell(ShadowCell &Cell, AccessKind Kind, WarpClocks &W,
-                  uint32_t Lane, uint32_t Pc, trace::MemSpace Space,
-                  uint64_t Addr);
 
   /// entryFor memoized per record: PTVC clocks are frozen while a memory
   /// record's bytes are processed, and entryFor is lane-independent for

@@ -22,7 +22,6 @@
 ///   const sim::ThreadHierarchy &hier()
 ///   void     reportRace(Pc, Current, Previous, Space, Scope, Me, Other,
 ///                       Addr)
-///   bool     fastPathEnabled()
 ///   void     countFastPath()
 ///
 //===----------------------------------------------------------------------===//
@@ -52,29 +51,25 @@ inline bool applyAccess(CtxT &Ctx, ShadowCell &Cell, AccessKind Kind,
   // when the cell already records this thread at this very epoch, the
   // full rules would re-derive the exact state the cell holds, so skip
   // them before taking any clock lookups.
-  if (Ctx.fastPathEnabled()) {
-    if (Kind == AccessKind::Read) {
-      // READ SAME EPOCH: our own exclusive read at this epoch. Writes
-      // clear read metadata, so the write epoch cannot have changed
-      // since that read checked it — an exact no-op.
-      if (!Cell.has(ShadowCell::FlagReadShared) &&
-          Cell.ReadClock == E.Clock &&
-          Cell.ReadTid == static_cast<uint32_t>(Me)) {
-        Ctx.countFastPath();
-        return false;
-      }
-    } else {
-      // WRITE SAME EPOCH: our own write at this epoch with bottom read
-      // state and a matching atomic flag — the write rule would store
-      // identical state.
-      if (Cell.WriteClock == E.Clock &&
-          Cell.WriteTid == static_cast<uint32_t>(Me) &&
-          !Cell.has(ShadowCell::FlagReadShared) && Cell.ReadClock == 0 &&
-          Cell.has(ShadowCell::FlagAtomic) ==
-              (Kind == AccessKind::Atomic)) {
-        Ctx.countFastPath();
-        return false;
-      }
+  if (Kind == AccessKind::Read) {
+    // READ SAME EPOCH: our own exclusive read at this epoch. Writes
+    // clear read metadata, so the write epoch cannot have changed
+    // since that read checked it — an exact no-op.
+    if (!Cell.has(ShadowCell::FlagReadShared) && Cell.ReadClock == E.Clock &&
+        Cell.ReadTid == static_cast<uint32_t>(Me)) {
+      Ctx.countFastPath();
+      return false;
+    }
+  } else {
+    // WRITE SAME EPOCH: our own write at this epoch with bottom read
+    // state and a matching atomic flag — the write rule would store
+    // identical state.
+    if (Cell.WriteClock == E.Clock &&
+        Cell.WriteTid == static_cast<uint32_t>(Me) &&
+        !Cell.has(ShadowCell::FlagReadShared) && Cell.ReadClock == 0 &&
+        Cell.has(ShadowCell::FlagAtomic) == (Kind == AccessKind::Atomic)) {
+      Ctx.countFastPath();
+      return false;
     }
   }
 

@@ -80,7 +80,6 @@ struct Shard::RuleCtx {
     S.Reporter.reportRace(Pc, Current, Previous, Space, Scope, Me, Other,
                           Addr);
   }
-  bool fastPathEnabled() const { return true; }
   void countFastPath() { ++LocalFastPath; }
 };
 

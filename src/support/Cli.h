@@ -7,7 +7,7 @@
 /// \file
 /// One option parser for every tool, so flag names and semantics stay
 /// aligned across barracuda-run, barracuda-instrument and
-/// barracuda-replay (--stats, --json, --trace-json, --legacy-detector,
+/// barracuda-replay (--stats, --json, --trace-json, --no-profile,
 /// --queues, --expect-races all mean the same thing everywhere).
 ///
 /// \code
@@ -47,8 +47,8 @@ public:
   /// A boolean switch: present sets \p Target true.
   void flag(const char *Name, bool &Target, const char *Help);
 
-  /// A switch that *clears* \p Target (e.g. --legacy-detector turning
-  /// the hot path off).
+  /// A switch that *clears* \p Target (e.g. --no-profile turning
+  /// profiling off).
   void flagOff(const char *Name, bool &Target, const char *Help);
 
   /// An option taking a value; \p Handler returns false to reject it.

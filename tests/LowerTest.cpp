@@ -36,6 +36,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <iterator>
 #include <memory>
@@ -657,6 +658,132 @@ TEST(LowerHighRegisters, SessionReportsLowered) {
             std::string::npos);
   for (uint32_t T = 0; T != 32; ++T)
     EXPECT_EQ(S.readU32(Buf + 4 * T), highRegisterWord(T)) << "thread " << T;
+}
+
+//===----------------------------------------------------------------------===//
+// Integer ALU results reach memory.
+//===----------------------------------------------------------------------===//
+
+// Every specialised integer executor writes a value that is stored, so a
+// wrong lane result shows up in the buffer: thread t stores 13 words at
+// out[16t..16t+12]. A = t * 0x9e3779b1 sets the sign bit for most
+// threads (signed shr/max differ from unsigned), B = t + 4660, and the
+// shl amount is t itself.
+constexpr char AluPtx[] = R"(
+.version 4.3
+.target sm_35
+.address_size 64
+
+.visible .entry alu(
+    .param .u64 p0
+)
+{
+    .reg .u32 %r<16>;
+    .reg .u64 %rd<4>;
+    ld.param.u64 %rd1, [p0];
+    mov.u32 %r1, %tid.x;
+    mul.lo.u32 %r2, %r1, -1640531535;
+    add.u32 %r3, %r1, 4660;
+    xor.b32 %r4, %r2, %r3;
+    and.b32 %r5, %r2, %r3;
+    or.b32 %r6, %r2, %r3;
+    not.b32 %r7, %r2;
+    shl.b32 %r8, %r2, %r1;
+    shr.u32 %r9, %r2, 7;
+    shr.s32 %r10, %r2, 7;
+    sub.u32 %r11, %r3, %r2;
+    mad.lo.u32 %r12, %r2, %r3, %r1;
+    min.u32 %r13, %r2, %r3;
+    max.s32 %r14, %r2, %r3;
+    cvt.u64.u32 %rd2, %r1;
+    shl.b64 %rd2, %rd2, 6;
+    add.u64 %rd3, %rd1, %rd2;
+    st.global.u32 [%rd3], %r2;
+    st.global.u32 [%rd3+4], %r3;
+    st.global.u32 [%rd3+8], %r4;
+    st.global.u32 [%rd3+12], %r5;
+    st.global.u32 [%rd3+16], %r6;
+    st.global.u32 [%rd3+20], %r7;
+    st.global.u32 [%rd3+24], %r8;
+    st.global.u32 [%rd3+28], %r9;
+    st.global.u32 [%rd3+32], %r10;
+    st.global.u32 [%rd3+36], %r11;
+    st.global.u32 [%rd3+40], %r12;
+    st.global.u32 [%rd3+44], %r13;
+    st.global.u32 [%rd3+48], %r14;
+    ret;
+}
+)";
+
+constexpr unsigned AluWords = 13;
+constexpr const char *AluWordNames[AluWords] = {
+    "mul.lo", "add", "xor", "and", "or", "not", "shl", "shr.u", "shr.s",
+    "sub", "mad.lo", "min.u", "max.s"};
+
+/// Thread t's words, computed on the host in the kernel's store order.
+std::vector<uint32_t> aluWords(uint32_t Thread) {
+  uint32_t A = Thread * 0x9e3779b1u;
+  uint32_t B = Thread + 4660;
+  int32_t SA = static_cast<int32_t>(A), SB = static_cast<int32_t>(B);
+  return {A,
+          B,
+          A ^ B,
+          A & B,
+          A | B,
+          ~A,
+          A << Thread,
+          A >> 7,
+          static_cast<uint32_t>(SA >> 7),
+          B - A,
+          A * B + Thread,
+          std::min(A, B),
+          static_cast<uint32_t>(std::max(SA, SB))};
+}
+
+TEST(LowerAluResults, SpecialisedIntegerRowsReachMemory) {
+  std::unique_ptr<ptx::Module> Mod = ptx::parseOrDie(AluPtx);
+  const ptx::Kernel *K = Mod->findKernel("alu");
+  ASSERT_NE(K, nullptr);
+  std::unique_ptr<sim::LoweredKernel> Low =
+      sim::lowerKernel(*Mod, *K, nullptr);
+  ASSERT_NE(Low, nullptr);
+  // The kernel must exercise each specialised integer row, or the
+  // oracles below would compare generic rows against themselves.
+  const sim::UopExec IntRows[] = {
+      sim::UopExec::IntAdd, sim::UopExec::IntSub, sim::UopExec::IntMul,
+      sim::UopExec::IntMad, sim::UopExec::IntMin, sim::UopExec::IntMax,
+      sim::UopExec::IntAnd, sim::UopExec::IntOr,  sim::UopExec::IntXor,
+      sim::UopExec::IntNot, sim::UopExec::IntShl, sim::UopExec::IntShr};
+  for (sim::UopExec Row : IntRows) {
+    bool Found = false;
+    for (const sim::Uop &U : Low->Uops)
+      Found |= static_cast<sim::UopExec>(U.Exec) == Row;
+    EXPECT_TRUE(Found) << "no uop lowered to row "
+                       << static_cast<unsigned>(Row);
+  }
+
+  std::vector<suite::ParamSpec> Params = {
+      suite::ParamSpec::buffer(32 * 16 * 4)};
+  for (bool Instrument : {true, false}) {
+    Observed Lowered = runOnce(AluPtx, "alu", sim::Dim3(1), sim::Dim3(32),
+                               Params, Rows::Production, Instrument);
+    Observed Generic = runOnce(AluPtx, "alu", sim::Dim3(1), sim::Dim3(32),
+                               Params, Rows::Generic, Instrument);
+    std::string Context = Instrument ? "instrumented" : "native";
+    ASSERT_TRUE(Lowered.Result.Ok) << Lowered.Result.Error;
+    expectSameOutcome(Lowered, Generic, Context);
+    ASSERT_EQ(Lowered.Buffers.size(), 1u);
+    for (uint32_t T = 0; T != 32; ++T) {
+      std::vector<uint32_t> Expected = aluWords(T);
+      for (unsigned I = 0; I != AluWords; ++I) {
+        uint32_t Word;
+        std::memcpy(&Word, Lowered.Buffers[0].data() + 4 * (16 * T + I),
+                    sizeof(Word));
+        EXPECT_EQ(Word, Expected[I])
+            << Context << " thread " << T << " " << AluWordNames[I];
+      }
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -764,19 +764,19 @@ TEST(RunReportTest, TextFormDoesNotCrash) {
 
 TEST(Cli, FlagsOptionsAndPositional) {
   support::cli::Parser P("tool", "FILE");
-  bool Stats = false, HotPath = true;
+  bool Stats = false, Profile = true;
   unsigned Queues = 4;
   std::string Out;
   P.flag("--stats", Stats, "stats");
-  P.flagOff("--legacy-detector", HotPath, "legacy");
+  P.flagOff("--no-profile", Profile, "profile");
   P.uintOption("--queues", "N", Queues, "queues");
   P.stringOption("--trace-json", "OUT", Out, "trace");
-  const char *Args[] = {"tool",     "input.ptx",       "--stats",
-                        "--queues", "2",               "--trace-json",
-                        "t.json",   "--legacy-detector"};
+  const char *Args[] = {"tool",     "input.ptx", "--stats",
+                        "--queues", "2",         "--trace-json",
+                        "t.json",   "--no-profile"};
   ASSERT_TRUE(P.parse(8, const_cast<char **>(Args)));
   EXPECT_TRUE(Stats);
-  EXPECT_FALSE(HotPath);
+  EXPECT_FALSE(Profile);
   EXPECT_EQ(Queues, 2u);
   EXPECT_EQ(Out, "t.json");
   EXPECT_EQ(P.positional(), "input.ptx");

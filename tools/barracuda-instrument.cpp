@@ -17,6 +17,7 @@
 #include "instrument/Instrumenter.h"
 #include "ptx/Parser.h"
 #include "ptx/Printer.h"
+#include "ptx/Verifier.h"
 #include "sim/Lower.h"
 #include "obs/Log.h"
 #include "support/Cli.h"
@@ -72,6 +73,14 @@ int main(int ArgCount, char **Args) {
     std::fprintf(stderr, "parse error: %s\n", Parser.error().c_str());
     return 2;
   }
+  // The instrumenter and the lowering assume a verified module (a
+  // branch without a target would be dereferenced), exactly as
+  // barracuda-run's Session::loadModule guarantees.
+  std::vector<std::string> Diags = ptx::verifyModule(*Mod);
+  for (const std::string &Diag : Diags)
+    std::fprintf(stderr, "error: %s\n", Diag.c_str());
+  if (!Diags.empty())
+    return 2;
 
   instrument::ModuleInstrumentation Instr =
       instrument::instrumentModule(*Mod, Options);

@@ -2,13 +2,12 @@
 //
 // Race-checks a trace recorded with `barracuda-run --record`. Replaying
 // decouples the execution from the analysis, so a trace captured once
-// can be re-analyzed (e.g. with a different queue count or the legacy
-// detector path) without re-running the program.
+// can be re-analyzed (e.g. with a different queue count) without
+// re-running the program.
 //
 // Usage:
 //   barracuda-replay TRACE.bct [options]
 //     --queues N           detector queues/processors (default: 4)
-//     --legacy-detector    disable the coalescing detector hot path
 //     --no-profile         disable detector rule-latency attribution
 //     --stats              print run statistics (RunReport text form)
 //     --json               print the RunReport document to stdout
@@ -23,7 +22,6 @@
 #include "obs/Log.h"
 #include "support/Cli.h"
 #include "support/Format.h"
-#include "support/Json.h"
 #include "trace/TraceFile.h"
 
 #include <cstdio>
@@ -33,7 +31,7 @@ using namespace barracuda;
 
 int main(int ArgCount, char **Args) {
   unsigned NumQueues = 4;
-  bool ExpectRaces = false, Stats = false, Json = false, HotPath = true;
+  bool ExpectRaces = false, Stats = false, Json = false;
   bool Profile = true;
   std::string TraceJsonPath;
 
@@ -54,8 +52,6 @@ int main(int ArgCount, char **Args) {
       "append JSON log lines to PATH instead of stderr");
   Cli.uintOption("--queues", "N", NumQueues,
                  "detector queues/processors");
-  Cli.flagOff("--legacy-detector", HotPath,
-              "disable the coalescing detector hot path");
   Cli.flagOff("--no-profile", Profile,
               "disable detector rule-latency attribution");
   Cli.flag("--stats", Stats, "print run statistics");
@@ -108,7 +104,6 @@ int main(int ArgCount, char **Args) {
   Options.Hier.ThreadsPerBlock = Header.ThreadsPerBlock;
   Options.Hier.WarpsPerBlock = Header.WarpsPerBlock;
   Options.Hier.WarpSize = Header.WarpSize;
-  Options.HotPath = HotPath;
   Options.ProfileRules = Profile;
   detector::SharedDetectorState State(Options);
   {
@@ -124,14 +119,7 @@ int main(int ArgCount, char **Args) {
   Report.Launch.Kernel = Header.KernelName;
   Report.Launch.Instrumented = true;
   Report.Launch.RecordsLogged = Reader.records().size();
-  Report.Records.Processed = State.recordsProcessed();
-  Report.Detector.HotPathEnabled = HotPath;
-  Report.Detector.Formats = State.formatStats();
-  Report.Detector.HotPath = State.hotPathStats();
-  Report.Detector.PeakPtvcBytes = State.peakPtvcBytes();
-  Report.Detector.GlobalShadowBytes = State.GlobalMem.shadowBytes();
-  Report.Detector.SharedShadowBytes = State.sharedShadowBytes();
-  Report.Detector.SyncLocations = State.Syncs.size();
+  Report.fillFromDetector(State);
   Report.Engine.NumQueues = NumQueues;
   Report.Resilience.RecordsDropped = Reader.recordsDropped();
   Report.Resilience.RecordsResynced = Reader.resyncs();
@@ -143,33 +131,9 @@ int main(int ArgCount, char **Args) {
             .describe();
   Report.Races = State.Reporter.races();
   Report.BarrierErrors = State.Reporter.barrierErrors();
-  {
-    support::json::Writer MetricsWriter;
-    State.metrics().writeJson(MetricsWriter);
-    Report.MetricsJson = MetricsWriter.take();
-  }
-  if (Profile) {
-    // Offline replay has no kernel execution profile; the detector's
-    // per-rule attribution is still meaningful and fills the section.
-    Report.Profile.Enabled = true;
-    for (unsigned Kind = 0; Kind != detector::RuleProfile::NumKinds;
-         ++Kind) {
-      const char *Name =
-          trace::recordOpName(static_cast<trace::RecordOp>(Kind));
-      obs::Counter &Count = State.metrics().counter(
-          std::string("detector.rule.") + Name + ".records");
-      if (!Count.value())
-        continue;
-      obs::Histogram &Ns = State.metrics().histogram(
-          std::string("detector.rule.") + Name + ".ns");
-      RunReport::ProfileSection::RuleLatency Rule;
-      Rule.Kind = Name;
-      Rule.Records = Count.value();
-      Rule.Samples = Ns.count();
-      Rule.SampledNs = Ns.sum();
-      Report.Profile.Rules.push_back(std::move(Rule));
-    }
-  }
+  // Offline replay has no kernel execution profile; the detector's
+  // per-rule attribution still makes the section.
+  Report.Profile.Enabled = Profile;
 
   if (Json) {
     std::fputs(Report.toJson().c_str(), stdout);

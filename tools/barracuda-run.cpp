@@ -20,7 +20,6 @@
 //                          persistent engine pool is reused across runs
 //     --streams M          spread repeats across M concurrent streams
 //     --native             run natively (no instrumentation/detection)
-//     --legacy-detector    disable the coalescing detector hot path
 //     --stats              print run statistics (RunReport text form,
 //                          including the hot-PC profile tables)
 //     --json               print the RunReport document to stdout
@@ -160,8 +159,6 @@ int main(int ArgCount, char **Args) {
       "abort a hung kernel after N warp instructions");
   Cli.flagOff("--native", Options.Instrument,
               "run natively (no instrumentation/detection)");
-  Cli.flagOff("--legacy-detector", Options.DetectorHotPath,
-              "disable the coalescing detector hot path");
   Cli.flag("--stats", Stats, "print run statistics");
   Cli.flag("--json", Json, "print the RunReport document to stdout");
   Cli.stringOption("--trace-json", "OUT", TraceJsonPath,
